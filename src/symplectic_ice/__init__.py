@@ -3,10 +3,11 @@
 Four model families on a 2n x L lattice with U-turn caps (uncolored
 reflecting, uncolored absorbing-and-emitting, signed-colored,
 positive-colored): Boltzmann weight tables, exact partition functions by
-enumeration and column transfer, machine verification of every local and
-global identity the models satisfy, and seeded Monte Carlo sampling of
-the associated interacting particle dynamics, validated against the exact
-probabilities.
+one sparse column transfer (with state enumeration kept as the state
+stream and as an independent check), machine verification of every local
+and global identity the models satisfy, and seeded Monte Carlo sampling
+of the associated interacting particle dynamics, validated against an
+exact outcome law computed in one row-transfer pass.
 
 All numerics are exact rationals; identity checks are polynomial identity
 testing at random rational points with exact equality.
@@ -21,7 +22,7 @@ from .diagram import WiringDiagram, Node
 from .lattice import (Configuration, LatticeSpec, Partition, SignedPermutation,
                       SpecError, all_plain_permutations, all_signed_permutations,
                       boundary_assignment, bottom_outcome, enumerate_states,
-                      partition_function, partition_function_transfer,
+                      partition_function, row_weight_tables,
                       transfer_right_edge_weights)
 from .render import render_state, trace_strands
 from .relations import (RelationReport, verify_caduceus, verify_fish,

@@ -28,10 +28,10 @@ from . import functional as fn
 from . import relations as rel
 from .dynamics import (ESCAPE, POOLED, SamplerConfig, SamplerSoundnessError,
                        compare_empirical_to_exact, exact_outcome_probabilities,
-                       run_sampler)
+                       run_sampler, trajectory_from_configuration)
 from .lattice import (LatticeSpec, Partition, SignedPermutation, SpecError,
                       all_signed_permutations, enumerate_states,
-                      partition_function, partition_function_transfer)
+                      partition_function)
 from .rationals import DomainError, ParamPoint, SamplingError, sample_point
 from .render import render_state
 from .weights import Family, Model, UsageError
@@ -181,7 +181,15 @@ RELATION_IDS = (
 )
 
 
+def _require_positive(args, *names) -> None:
+    """Counts such as --points and --samples must be at least 1."""
+    for name in names:
+        if getattr(args, name) < 1:
+            raise UsageError(f"--{name} must be at least 1, got {getattr(args, name)}")
+
+
 def cmd_verify(args) -> int:
+    _require_positive(args, "points", "jobs")
     config = {"subcommand": "verify", "relation": args.relation, "points": args.points,
               "seed": args.seed, "paranoid": args.paranoid, "jobs": args.jobs}
     report = None
@@ -243,7 +251,7 @@ def cmd_partition(args) -> int:
               "sigma": list(spec.sigma.images) if spec.sigma else None,
               "tau": list(spec.tau.images) if spec.tau else None}
     if args.method == "transfer":
-        value = partition_function_transfer(spec)
+        value = partition_function(spec)
         num_states = None
     else:
         states = list(enumerate_states(spec))
@@ -267,33 +275,34 @@ def cmd_partition(args) -> int:
     return 0
 
 
-def _write_trajectories(path: str, spec, seed: int, num: int) -> None:
-    """JSON-lines export: one record per sample, stable key order."""
-    from .dynamics import Sampler, trajectory_from_configuration
-    sampler = Sampler(SamplerConfig(spec, seed, num))
-    with open(path, "w") as fh:
-        for index in range(num):
-            out = sampler.sample(index)
-            record = {
-                "escaped": out.escaped,
-                "index": index,
-                "outcome": outcome_str(out.key),
-                "trajectory": [[[c, l] for c, l in step]
-                               for step in trajectory_from_configuration(out.config)],
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+def _trajectory_writer(fh):
+    """Per-sample hook writing JSON lines: one record per sample, stable key order."""
+    def write(index, out):
+        record = {
+            "escaped": out.escaped,
+            "index": index,
+            "outcome": outcome_str(out.key),
+            "trajectory": [[[c, l] for c, l in step]
+                           for step in trajectory_from_configuration(out.config)],
+        }
+        fh.write(json.dumps(record, sort_keys=True) + "\n")
+    return write
 
 
 def cmd_sample(args) -> int:
+    _require_positive(args, "samples")
     spec = _build_spec(args, lam=Partition((0,) * (args.n if args.model != "absorbing" else 0)))
     config = {"subcommand": "sample", "model": args.model, "n": args.n, "L": args.L,
               "z": [fmt_rat(z) for z in spec.point.z], "q": fmt_rat(spec.point.q),
               "sigma": list(spec.sigma.images) if spec.sigma else None,
               "samples": args.samples, "seed": args.seed,
               "trajectories": args.trajectories}
-    summary = run_sampler(SamplerConfig(spec, args.seed, args.samples))
+    sampler_config = SamplerConfig(spec, args.seed, args.samples)
     if args.trajectories:
-        _write_trajectories(args.trajectories, spec, args.seed, args.samples)
+        with open(args.trajectories, "w") as fh:
+            summary = run_sampler(sampler_config, _trajectory_writer(fh))
+    else:
+        summary = run_sampler(sampler_config)
     exact = exact_outcome_probabilities(spec)
     try:
         stats = compare_empirical_to_exact(summary, exact)
@@ -437,6 +446,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if "--config" in argv:
         at = argv.index("--config")
+        if at + 1 == len(argv):
+            print("error: --config needs a path", file=sys.stderr)
+            return 2
         path = argv[at + 1]
         head, tail = argv[:at], argv[at + 2:]
         try:

@@ -21,9 +21,14 @@ trivially parallel.  Cumulative weights are compared against the drawn
 word through integer thresholds ceil(c * 2^64); the 2^-64 quantization is
 far below every statistical tolerance used here.
 
-``exhaustive_distribution`` replaces the random word by a sum over all
-branch choices with exact rational probabilities; for small systems it
-reproduces every partition function exactly.
+``exact_outcome_probabilities`` is the exact law of the bottom outcome
+in one pass: a row transfer from the top over the words of vertical
+labels between row pairs, summing the same conditional probabilities the
+sampler draws from (read from ``lattice.row_weight_tables``).
+``exhaustive_distribution`` replaces the random word by a recursive sum
+over all branch choices with exact rational probabilities; it is kept as
+an independent oracle for the law, and for small systems it reproduces
+every partition function exactly.
 """
 
 from __future__ import annotations
@@ -34,11 +39,10 @@ from fractions import Fraction
 
 from scipy.stats import chi2
 
-from .lattice import (Configuration, LatticeSpec, Partition,
-                      all_plain_permutations, all_signed_permutations,
-                      boundary_assignment, bottom_outcome, partition_function)
+from .lattice import (Configuration, LatticeSpec, boundary_assignment,
+                      bottom_outcome, row_weight_tables)
 from .rationals import in_stochastic_regime
-from .weights import Family, Model, admissible_pattern, cap_map, vertex_weight
+from .weights import Family, admissible_pattern, cap_map, vertex_weight
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -50,7 +54,9 @@ ESCAPE = "escape"
 
 
 class SamplerSoundnessError(RuntimeError):
-    """An outcome with exact probability 0 was sampled: a sampler bug."""
+    """A sampler invariant failed: an outcome of exact probability 0 was
+    sampled, a conditional row does not sum to 1, or the histogram lost a
+    sample.  Always a bug, never bad luck."""
 
 
 def mix64(*words: int) -> int:
@@ -105,7 +111,9 @@ def _conditional_tables(spec: LatticeSpec):
                     outs.append(cand)
                     weights.append(w)
                 total = sum(weights, ZERO)
-                assert total == 1, (fam, a, b, total)
+                if total != 1:
+                    raise SamplerSoundnessError(
+                        f"{fam.value} row {r} inputs {(a, b)} sum to {total}, not 1")
                 cum, thresholds = ZERO, []
                 for w in weights:
                     cum += w
@@ -200,15 +208,26 @@ class SampleSummary:
         self.histogram[outcome.key] = self.histogram.get(outcome.key, 0) + 1
 
     def check(self):
-        assert sum(self.histogram.values()) == self.num_samples
+        counted = sum(self.histogram.values())
+        if counted != self.num_samples:
+            raise SamplerSoundnessError(
+                f"histogram counts {counted} samples, expected {self.num_samples}")
 
 
-def run_sampler(config: SamplerConfig) -> SampleSummary:
-    """SampleSummary over num_samples draws; pure in (spec, seed, num_samples)."""
+def run_sampler(config: SamplerConfig, each=None) -> SampleSummary:
+    """SampleSummary over num_samples draws; pure in (spec, seed, num_samples).
+
+    ``each``, if given, is called as ``each(index, outcome)`` on every
+    sample in index order, so a caller can export samples without drawing
+    them a second time.
+    """
     sampler = Sampler(config)
     summary = SampleSummary(config.num_samples)
     for index in range(config.num_samples):
-        summary.record(sampler.sample(index))
+        outcome = sampler.sample(index)
+        summary.record(outcome)
+        if each is not None:
+            each(index, outcome)
     summary.check()
     return summary
 
@@ -249,6 +268,16 @@ def configuration_weight(spec: LatticeSpec, config: Configuration) -> Fraction:
     return w
 
 
+def _bottom_key(spec: LatticeSpec, bottom_row) -> tuple:
+    """Outcome key (lambda parts, colors-or-None) of a bottom row of labels."""
+    cols = [c for c in range(spec.L, 0, -1) if bottom_row[c - 1] != 0]
+    np_ = len(cols)
+    parts = tuple(col - (np_ + 1 - i) for i, col in enumerate(cols, start=1))
+    if spec.model.colored:
+        return (parts, tuple(bottom_row[col - 1] for col in cols))
+    return (parts, None)
+
+
 def exhaustive_distribution(spec: LatticeSpec) -> dict:
     """Exact law of the sampler: key -> probability, summing to 1.
 
@@ -265,17 +294,9 @@ def exhaustive_distribution(spec: LatticeSpec) -> dict:
     vert = [[None] * L for _ in range(n2 + 1)]
     vert[n2] = list(bnd.top)
 
-    def bottom_key(bottom_row):
-        cols = [c for c in range(L, 0, -1) if bottom_row[c - 1] != 0]
-        np_ = len(cols)
-        parts = tuple(col - (np_ + 1 - i) for i, col in enumerate(cols, start=1))
-        if spec.model.colored:
-            return (parts, tuple(bottom_row[col - 1] for col in cols))
-        return (parts, None)
-
     def pair(i: int, prob: Fraction, escaped: bool):
         if i == 0:
-            key = ESCAPE if escaped else bottom_key(vert[0])
+            key = ESCAPE if escaped else _bottom_key(spec, vert[0])
             dist[key] = dist.get(key, ZERO) + prob
             return
         r = 2 * i
@@ -315,63 +336,63 @@ def exhaustive_distribution(spec: LatticeSpec) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Outcome spaces and empirical-vs-exact comparison
+# The exact outcome law and empirical-vs-exact comparison
 # ---------------------------------------------------------------------------
 
-def _partitions(nparts: int, maxpart: int):
-    """Weakly decreasing tuples of length nparts with parts in 0..maxpart."""
-    if nparts == 0:
-        yield ()
-        return
-    def rec(k, hi):
-        if k == 0:
-            yield ()
-            return
-        for first in range(hi, -1, -1):
-            for rest in rec(k - 1, first):
-                yield (first,) + rest
-    yield from rec(nparts, maxpart)
+def _by_right_input(table: dict) -> dict:
+    """A row table re-keyed by (right, top), for a right-to-left sweep."""
+    out: dict = {}
+    for (left, top), entries in table.items():
+        for right, bottom, w in entries:
+            out.setdefault((right, top), []).append((left, bottom, w))
+    return out
 
 
-def reachable_outcomes(model: Model, n: int, L: int):
-    """All bottom outcome keys that can carry probability.
+def _sweep_vertex(front: dict, table: dict, k: int) -> dict:
+    """Resolve the vertex at word position k for every frontier entry.
 
-    Reflecting and colored families conserve particles (n' = n); the
-    absorbing family's caps absorb or emit one particle each, so n' is
-    even and at most 2n.  Colored outcomes range over all color words
-    (tau in B_n for the signed family, S_n for the positive one).
+    ``front`` maps (word, carried horizontal label) to exact mass; the
+    vertex reads the carried label and the word's letter at k, writes its
+    bottom output into the word and carries its other output on.
     """
-    if model is Model.UNCOLORED_ABSORBING:
-        for np_ in range(0, 2 * n + 1, 2):
-            for parts in _partitions(np_, L - np_):
-                yield (parts, None), Partition(parts), None
-        return
-    taus: list = [None]
-    if model is Model.COLORED_SIGNED:
-        taus = list(all_signed_permutations(n))
-    elif model is Model.COLORED_POSITIVE:
-        taus = list(all_plain_permutations(n))
-    for parts in _partitions(n, L - n):
-        for tau in taus:
-            colors = tuple(tau(i) for i in range(1, n + 1)) if tau else None
-            yield (parts, colors), Partition(parts), tau
+    nxt: dict = {}
+    for (word, cur), p in front.items():
+        for out, bottom, w in table[(cur, word[k])]:
+            if w == 0:
+                continue
+            key = (word[:k] + (bottom,) + word[k + 1:], out)
+            nxt[key] = nxt.get(key, ZERO) + p * w
+    return nxt
 
 
 def exact_outcome_probabilities(spec: LatticeSpec) -> dict:
-    """key -> exact probability for every reachable outcome, plus ESCAPE.
+    """key -> exact probability for every outcome of nonzero mass, plus ESCAPE.
 
-    Probabilities are the partition functions with the corresponding bottom
-    boundary (valid in the stochastic regime); the escape mass is the
-    complement.  Zero-probability outcomes are dropped.
+    One row transfer from the top, the forward equation of the particle
+    system.  Its state maps each word of vertical labels between two row
+    pairs (index c-1 for column c) to its exact mass.  A step sweeps the
+    Gamma row left to right from its left boundary label, maps the row's
+    right end through the cap, then sweeps the Delta row right to left;
+    paths whose Delta row emits a particle past column L escape and are
+    dropped.  In the stochastic regime the mass of an outcome is the
+    partition function with that bottom boundary, and the escape mass is
+    the complement.
     """
-    out = {}
-    total = ZERO
-    for key, lam, tau in reachable_outcomes(spec.model, spec.n, spec.L):
-        z = partition_function(LatticeSpec(spec.model, spec.n, spec.L, lam,
-                                           spec.point, spec.sigma, tau))
-        if z != 0:
-            out[key] = z
-            total += z
+    bnd = boundary_assignment(spec)
+    tables = row_weight_tables(spec)
+    L = spec.L
+    words = {tuple(bnd.top): ONE}
+    for i in range(spec.n, 0, -1):
+        front = {(word, bnd.left[2 * i - 1]): p for word, p in words.items()}
+        for c in range(L, 0, -1):
+            front = _sweep_vertex(front, tables[2 * i - 1], c - 1)
+        front = {(word, cap_map(spec.model, h)): p for (word, h), p in front.items()}
+        delta = _by_right_input(tables[2 * i - 2])
+        for c in range(1, L + 1):
+            front = _sweep_vertex(front, delta, c - 1)
+        words = {word: p for (word, left), p in front.items() if left == bnd.left[2 * i - 2]}
+    out = {_bottom_key(spec, word): p for word, p in words.items() if p != 0}
+    total = sum(out.values(), ZERO)
     if total > 1:
         raise SamplerSoundnessError(f"outcome probabilities sum to {total} > 1")
     if total != 1:

@@ -23,12 +23,18 @@ Internal storage uses 0-based column *indices* ``c-1`` for column ``c``:
 so the vertex in row r, column c reads
 ``(left, top, right, bottom) = (hor[r][c], vert[r][c-1], hor[r][c-1], vert[r-1][c-1])``.
 
-Enumeration is a column-ordered depth-first search from column L to
-column 1, resolving each column top-to-bottom; at every vertex only the
-(at most |alphabet|) label completions of nonzero weight are branched, the
-bottom boundary is enforced as each column closes, and cap consistency is
-enforced at the right end.  ``partition_function_transfer`` computes the
-same sum by a sparse column transfer over the 2n horizontal edge labels.
+Weights are looked up, never recomputed: ``row_weight_tables`` evaluates
+every listed vertex pattern of each row once per spec, keyed by the
+vertex's sweep inputs (left, top).
+
+There is one engine for ``Z``: ``partition_function`` is the sparse column
+transfer (``transfer_right_edge_weights``, columns L down to 1, each
+resolved vertex by vertex top to bottom, merging equal frontiers)
+contracted with the caps.  ``enumerate_states`` yields every admissible
+state with its weight by a column-ordered depth-first search over the
+same tables; it is kept as the state stream for rendering and for
+``partition --method enumeration``, and as an independent oracle for the
+transfer in the tests.
 
 Everything is pure and immutable; distinct specs may be evaluated
 concurrently.  The state stream from ``enumerate_states`` is a generator
@@ -47,9 +53,6 @@ from .weights import (Family, Model, admissible_pattern, alphabet, cap_map,
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-#: Transfer is offered while |alphabet|^(2n) stays below this bound.
-TRANSFER_STATE_BOUND = 10**6
 
 
 class SpecError(ValueError):
@@ -264,12 +267,38 @@ def _completions(fam: Family, left, top, letters):
     return ((left, top),)
 
 
+def row_weight_tables(spec: LatticeSpec) -> tuple:
+    """Exact weight of every listed vertex pattern, one table per row.
+
+    Entry ``r-1`` belongs to row r and maps the inputs (left, top) of a
+    vertex, for every pair of letters, to the tuple of its listed
+    completions ``(right, bottom, weight)`` in a fixed order.  Listed
+    patterns whose weight is 0 at a degenerate point are kept, so that
+    enumeration still counts their states; the transfer skips them.
+    """
+    letters = spec.alphabet
+    q = spec.point.q
+    tables = []
+    for r in range(1, 2 * spec.n + 1):
+        fam = _row_family(r)
+        z = _row_z(spec, r)
+        table = {}
+        for left in letters:
+            for top in letters:
+                table[(left, top)] = tuple(
+                    (right, bottom,
+                     vertex_weight(spec.model, fam, (left, top, right, bottom), (z,), q))
+                    for right, bottom in _completions(fam, left, top, letters)
+                    if admissible_pattern(spec.model, fam, (left, top, right, bottom)))
+        tables.append(table)
+    return tuple(tables)
+
+
 def enumerate_states(spec: LatticeSpec) -> Iterator[tuple]:
     """Yield every admissible (Configuration, exact weight) exactly once."""
     bnd = boundary_assignment(spec)
+    tables = row_weight_tables(spec)
     n2, L = 2 * spec.n, spec.L
-    letters = spec.alphabet
-    q = spec.point.q
     hor = [[None] * (L + 1) for _ in range(n2 + 1)]
     vert = [[None] * L for _ in range(n2 + 1)]
     for r in range(1, n2 + 1):
@@ -294,17 +323,9 @@ def enumerate_states(spec: LatticeSpec) -> Iterator[tuple]:
         if r == 0:
             yield from sweep(c - 1, n2, weight)
             return
-        fam = _row_family(r)
-        z = _row_z(spec, r)
-        left = hor[r][c]
-        top = vert[r][c - 1]
-        for right, bottom in _completions(fam, left, top, letters):
+        for right, bottom, w in tables[r - 1][(hor[r][c], vert[r][c - 1])]:
             if r == 1 and bottom != bnd.bottom[c - 1]:
                 continue
-            edges = (left, top, right, bottom)
-            if not admissible_pattern(spec.model, fam, edges):
-                continue
-            w = vertex_weight(spec.model, fam, edges, (z,), q)
             hor[r][c - 1] = right
             vert[r - 1][c - 1] = bottom
             yield from sweep(c, r - 1, weight * w)
@@ -315,11 +336,6 @@ def enumerate_states(spec: LatticeSpec) -> Iterator[tuple]:
     yield from sweep(L, n2, ONE)
 
 
-def partition_function(spec: LatticeSpec) -> Fraction:
-    """Exact sum of state weights over all admissible configurations."""
-    return sum((w for _, w in enumerate_states(spec)), ZERO)
-
-
 def transfer_right_edge_weights(spec: LatticeSpec) -> dict:
     """Column transfer without the final cap contraction.
 
@@ -327,47 +343,33 @@ def transfer_right_edge_weights(spec: LatticeSpec) -> dict:
     (rows ordered 1..2n) to the exact sum of weights of all column
     fillings producing them -- the lattice with its right boundary left
     open.  Contracting against the cap tables gives partition_function.
+
+    Columns are resolved one vertex at a time, top to bottom; between two
+    vertices the frontier maps (horizontal labels, vertical label below
+    the last resolved vertex) to its summed weight, so paths that meet
+    are merged at once.
     """
-    letters = spec.alphabet
-    n2, L = 2 * spec.n, spec.L
     bnd = boundary_assignment(spec)
-    q = spec.point.q
-
+    tables = row_weight_tables(spec)
     states = {tuple(bnd.left): ONE}
-    for c in range(L, 0, -1):
-        nxt: dict = {}
-
-        def descend(r, top, h, out, weight):
-            if r == 0:
-                key = tuple(out)
-                nxt[key] = nxt.get(key, ZERO) + weight
-                return
-            fam = _row_family(r)
-            z = _row_z(spec, r)
-            left = h[r - 1]
-            for right, bottom in _completions(fam, left, top, letters):
-                if r == 1 and bottom != bnd.bottom[c - 1]:
-                    continue
-                w = vertex_weight(spec.model, fam, (left, top, right, bottom), (z,), q)
-                if w == 0:
-                    continue
-                out[r - 1] = right
-                descend(r - 1, bottom, h, out, weight * w)
-
-        for h, weight in states.items():
-            descend(n2, bnd.top[c - 1], h, [None] * n2, weight)
-        states = nxt
+    for c in range(spec.L, 0, -1):
+        front = {(h, bnd.top[c - 1]): weight for h, weight in states.items()}
+        for r in range(2 * spec.n, 0, -1):
+            table = tables[r - 1]
+            nxt: dict = {}
+            for (h, top), weight in front.items():
+                for right, bottom, w in table[(h[r - 1], top)]:
+                    if w == 0 or (r == 1 and bottom != bnd.bottom[c - 1]):
+                        continue
+                    key = (h[:r - 1] + (right,) + h[r:], bottom)
+                    nxt[key] = nxt.get(key, ZERO) + weight * w
+            front = nxt
+        states = {h: weight for (h, _), weight in front.items()}
     return states
 
 
-def partition_function_transfer(spec: LatticeSpec) -> Fraction:
-    """Same value as partition_function via a sparse column transfer.
-
-    Falls back to enumeration when the dense state space |alphabet|^(2n)
-    would exceed TRANSFER_STATE_BOUND.
-    """
-    if len(spec.alphabet) ** (2 * spec.n) > TRANSFER_STATE_BOUND:
-        return partition_function(spec)
+def partition_function(spec: LatticeSpec) -> Fraction:
+    """Exact sum of state weights: the column transfer contracted with the caps."""
     total = ZERO
     for h, weight in transfer_right_edge_weights(spec).items():
         if all(cap_map(spec.model, h[2 * i - 1]) == h[2 * i - 2] for i in range(1, spec.n + 1)):

@@ -39,7 +39,8 @@ class DomainError(ValueError):
 
 
 class SamplingError(RuntimeError):
-    """sample_point exhausted its rejection budget."""
+    """A random point could not be drawn: sample_point exhausted its
+    rejection budget, or a drawn point missed the domain it was drawn for."""
 
 
 def rat(num, den=1) -> Fraction:
@@ -249,5 +250,6 @@ def sample_regime_point(n: int, seed: int) -> ParamPoint:
         t = Fraction(rng.randint(0, 1000), 1000)
         z.append(lo + (hi - lo) * t)
     point = ParamPoint(tuple(z), q)
-    assert in_stochastic_regime(point)
+    if not in_stochastic_regime(point):
+        raise SamplingError(f"drew {point}, which is outside the stochastic regime")
     return point

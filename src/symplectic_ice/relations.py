@@ -41,7 +41,8 @@ class RelationReport:
         return not self.failures
 
     def merge(self, other: "RelationReport") -> "RelationReport":
-        assert self.relation == other.relation
+        if self.relation != other.relation:
+            raise ValueError(f"cannot merge a {other.relation} report into a {self.relation} report")
         return RelationReport(self.relation,
                               self.points_tested + other.points_tested,
                               self.combos_tested + other.combos_tested,

@@ -1,12 +1,14 @@
+import hashlib
 import json
 from fractions import Fraction as F
 from importlib import resources
 
 import jsonschema
+import pytest
 
 from symplectic_ice import cli
 from symplectic_ice import diagram as dg
-from symplectic_ice import weights
+from symplectic_ice import dynamics, weights
 from symplectic_ice.weights import Family
 
 
@@ -124,6 +126,46 @@ def test_sample_trajectories_jsonl(tmp_path, capsys):
         assert record["index"] == i
         assert len(record["trajectory"]) == 3    # times t = 0, 1, 2
         assert record["trajectory"][0] == []
+
+
+def test_sample_trajectories_draw_each_sample_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    true_sample = dynamics.Sampler.sample
+
+    def counted(self, index):
+        calls.append(index)
+        return true_sample(self, index)
+
+    monkeypatch.setattr(dynamics.Sampler, "sample", counted)
+    path = tmp_path / "traj.jsonl"
+    code, out, _ = run(capsys, "sample", "--model", "signed", "--n", "1", "--L", "2",
+                       "--z", "3/4", "--q", "1/2", "--sigma", "1", "--samples", "40",
+                       "--seed", "4", "--trajectories", str(path), "--json")
+    assert code == 0
+    assert calls == list(range(40))
+    # the file and the histogram are those of the scalar sampler at this seed
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "f4df23be6188fbc26111986e7861bfa48f4dc2dcee82702363839b5713f7777a"
+    histogram = json.loads(out)["histogram"]
+    outcomes = [json.loads(line)["outcome"] for line in path.read_text().splitlines()]
+    assert histogram == {k: outcomes.count(k) for k in set(outcomes)}
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--relation", "ybe-gg", "--points", "0"),
+    ("verify", "--relation", "ybe-gg", "--points", "2", "--jobs", "0"),
+    ("sample", "--model", "reflecting", "--n", "1", "--L", "2", "--z", "3/4",
+     "--q", "1/2", "--samples", "0"),
+    ("sample", "--model", "reflecting", "--n", "1", "--L", "2", "--z", "3/4",
+     "--q", "1/2", "--samples", "-5"),
+    ("partition", "--config"),
+])
+def test_invalid_counts_and_flags_exit_two(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_render_ascii_and_svg(capsys):

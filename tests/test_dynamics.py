@@ -122,8 +122,18 @@ class TestExactness:
             assert z == p
 
     def test_exact_outcomes_match_path_sum(self):
-        spec = reflecting_spec(1, 2)
-        assert exact_outcome_probabilities(spec) == exhaustive_distribution(spec)
+        # the row transfer against the recursive path sum, escape included
+        point3 = ParamPoint((F(3, 4), F(2, 3), F(4, 5)), F(1, 2))
+        cases = [(model, n, pt) for model in (UR, UA, CS, CP)
+                 for n, pt in ((1, POINT1), (2, POINT2))]
+        cases += [(UR, 3, point3), (UA, 3, point3)]
+        for model, n, pt in cases:
+            sig = SignedPermutation.identity(n) if model.colored else None
+            lam = Partition(()) if model is UA else Partition((0,) * n)
+            spec = LatticeSpec(model, n, 4, lam, pt, sig, sig)
+            exact = exact_outcome_probabilities(spec)
+            assert exact == exhaustive_distribution(spec)
+            assert ESCAPE in exact
 
 
 class TestTrajectories:

@@ -1,0 +1,37 @@
+"""Invariant guards raise explicit exceptions, so they survive ``python -O``."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+SCRIPT = """
+from symplectic_ice.dynamics import SampleSummary, SamplerSoundnessError
+from symplectic_ice.relations import RelationReport
+
+assert False, "this script must run with assertions stripped"
+try:
+    RelationReport("ybe-gg").merge(RelationReport("ybe-dd"))
+except ValueError:
+    pass
+else:
+    raise SystemExit("merging reports of different relations did not raise")
+summary = SampleSummary(num_samples=3)
+summary.histogram = {"escape": 2}
+try:
+    summary.check()
+except SamplerSoundnessError:
+    pass
+else:
+    raise SystemExit("a histogram missing a sample did not raise")
+print("guards raised")
+"""
+
+
+def test_guards_raise_under_python_O():
+    done = subprocess.run([sys.executable, "-O", "-c", SCRIPT], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "guards raised"

@@ -3,17 +3,22 @@ from fractions import Fraction as F
 import pytest
 
 from symplectic_ice.dynamics import ESCAPE, exhaustive_distribution
+from symplectic_ice.functional import closed_form_opposite
 from symplectic_ice.lattice import (LatticeSpec, Partition, SignedPermutation,
                                     SpecError, all_signed_permutations,
                                     boundary_assignment, bottom_outcome,
                                     enumerate_states, particle_columns,
-                                    partition_function,
-                                    partition_function_transfer)
+                                    partition_function)
 from symplectic_ice.rationals import ParamPoint, sample_point, sample_regime_point, zprime
 from symplectic_ice.weights import Model, cap_map
 
 UR, UA = Model.UNCOLORED_REFLECTING, Model.UNCOLORED_ABSORBING
 CS, CP = Model.COLORED_SIGNED, Model.COLORED_POSITIVE
+
+
+def enumerated_z(spec):
+    """Z summed over the enumerated states: the oracle for the transfer."""
+    return sum((w for _, w in enumerate_states(spec)), F(0))
 
 
 class TestSignedPermutation:
@@ -107,6 +112,16 @@ class TestEnumeration:
         assert len(states) == 1
         assert partition_function(spec) == z * (1 - zprime(z, q) / q)
 
+    def test_degenerate_point_counts_zero_weight_states(self):
+        # q z_i = 1 zeroes the weight 1 - q z of a listed Gamma pattern; the
+        # states using it are still admissible and still counted
+        pt = ParamPoint((F(1, 2), F(1, 2)), F(2))
+        spec = LatticeSpec(UR, 2, 4, Partition((2, 1)), pt)
+        states = list(enumerate_states(spec))
+        assert len(states) == 75
+        assert sum(1 for _, w in states if w == 0) == 73
+        assert partition_function(spec) == enumerated_z(spec)
+
     def test_unreachable_bottom_has_empty_stream(self):
         # a bottom the conservation laws forbid yields zero states, not an
         # error: one absorbed-or-emitted particle always flips the parity
@@ -143,7 +158,7 @@ class TestTransferAgreement:
     def test_uncolored(self, model, n, L, lam, seeds):
         for seed in seeds:
             spec = LatticeSpec(model, n, L, Partition(lam), sample_point(n, seed))
-            assert partition_function(spec) == partition_function_transfer(spec)
+            assert partition_function(spec) == enumerated_z(spec)
 
     @pytest.mark.parametrize("model,sigma,tau,seeds", [
         (CS, (1, 2), (-2, 1), (0, 1, 2, 3, 4)),
@@ -154,7 +169,18 @@ class TestTransferAgreement:
         for seed in seeds:
             spec = LatticeSpec(model, 2, 6, Partition((2, 1)), sample_point(2, seed),
                                SignedPermutation(sigma), SignedPermutation(tau))
-            assert partition_function(spec) == partition_function_transfer(spec)
+            assert partition_function(spec) == enumerated_z(spec)
+
+    @pytest.mark.parametrize("L,lam", [(4, (0, 0, 0, 0)), (5, (1, 0, 0, 0)),
+                                       (5, (1, 1, 1, 0))])
+    def test_signed_n4_opposite_boundary_closed_form(self, L, lam):
+        # sigma = -tau forces a unique state with a product formula
+        for k, sigma in enumerate([(1, 2, 3, 4), (-1, -2, -3, -4),
+                                   (2, -4, 1, -3), (-3, 1, 4, -2)]):
+            spec = LatticeSpec(CS, 4, L, Partition(lam), sample_point(4, 40 + k),
+                               SignedPermutation(sigma),
+                               SignedPermutation(tuple(-v for v in sigma)))
+            assert partition_function(spec) == closed_form_opposite(spec)
 
     def test_all_families_up_to_L6_at_ten_points(self):
         # representative instances of every family at n <= 2, L <= 6
@@ -175,7 +201,7 @@ class TestTransferAgreement:
             for k in range(10):
                 spec = LatticeSpec(model, n, L, lam, sample_point(n, 50 + k),
                                    sigma, tau)
-                assert partition_function(spec) == partition_function_transfer(spec)
+                assert partition_function(spec) == enumerated_z(spec)
 
 
 class TestProbabilisticStructure:
