@@ -1,4 +1,12 @@
-"""The full acceptance battery: one callable per criterion.
+"""The relation registry and the full acceptance battery.
+
+``RELATIONS`` maps every relation id to how its point is drawn from a
+seed and how it is checked there; ``check_relation`` runs one point.
+The ``verify`` subcommand (whose ``--relation`` choices are the registry's
+ids) and the criteria below both read the registry, so adding a relation
+is adding one entry.  Criteria 1-6 are ``verify`` of their relations at
+seeds seed + k; criteria 7-10 check their registry relations at their
+own per-point seeds and add the cases only they cover.
 
 Each criterion function returns a CriterionResult; ``run_suite`` executes
 them in order and reports one line per criterion.  The pytest suite and
@@ -17,6 +25,8 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
 from . import functional as fn
 from . import relations as rel
@@ -52,10 +62,6 @@ class CriterionResult:
         return f"criterion {self.number:>2} {status}  {self.name}: {self.detail}{extra}"
 
 
-def _points(count, seed, n=2):
-    return [sample_point(n, seed + k) for k in range(count)]
-
-
 def _partitions(nparts, maxpart):
     if nparts == 0:
         return [()]
@@ -71,19 +77,163 @@ def _partitions(nparts, maxpart):
 
 
 # --------------------------------------------------------------------------
+# the relation registry
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Relation:
+    """One checkable relation: ``draw(seed)`` gives the point and
+    ``check(point, paranoid)`` the RelationReport at that point."""
+
+    draw: Callable
+    check: Callable
+
+
+_point1, _point2 = partial(sample_point, 1), partial(sample_point, 2)
+
+
+def _lemma_triple(seed):
+    """(t1, t2, q) by rejection: q != 1 and a nonzero crossing denominator."""
+    rng = random.Random(seed)
+    while True:
+        t1 = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+        t2 = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+        q = Fraction(rng.randint(2, 10**6), rng.randint(1, 10**6))
+        if q != 1 and 1 - (q + 1) * t1 + q * t1 * t2 != 0:
+            return t1, t2, q
+
+
+def _functional(name, cases):
+    """A global law as a relation at n = 2 points: ``cases(point)`` yields
+    (case, holds) pairs; each case is one combo, each false one a failure."""
+    def check(pt, paranoid):
+        report = rel.RelationReport(name, points_tested=1)
+        for case, holds in cases(pt):
+            report.combos_tested += 1
+            if not holds:
+                report.failures.append((pt, case, "lhs", "rhs"))
+        return report
+    return Relation(_point2, check)
+
+
+_PAIRS = {"gg": (GAMMA, GAMMA), "gd": (GAMMA, DELTA), "dg": (DELTA, GAMMA), "dd": (DELTA, DELTA)}
+_CAPS = ("reflecting", "absorbing")
+_COLORED = ("signed", "positive")
+_LAM21 = Partition((2, 1))
+_ID2, _SWAP2 = SignedPermutation((1, 2)), SignedPermutation((2, 1))
+
+
+def _weyl_cases(model, lams):
+    def cases(pt):
+        for lam in lams:
+            spec = LatticeSpec(model, 2, 4, Partition(lam), pt)
+            for gen in (1, 2):
+                yield f"lambda={lam} s_{gen}", fn.check_weyl_invariance(spec, (gen,))
+    return cases
+
+
+def _interchange_cases(model, lam):
+    def cases(pt):
+        yield f"lambda={lam}", fn.check_interchange(LatticeSpec(model, 2, 4, Partition(lam), pt))
+    return cases
+
+
+def _closed_form_cases(pt, L=4):
+    """sigma(i) = -tau(i): the closed form is Z for every lambda and sigma."""
+    n = pt.n
+    for lam in _partitions(n, L - n):
+        for sig in all_signed_permutations(n):
+            tau = SignedPermutation([-v for v in sig.images])
+            spec = LatticeSpec(Model.COLORED_SIGNED, n, L, Partition(lam), pt, sig, tau)
+            yield (f"L={L} lambda={lam} sigma={sig.images}",
+                   fn.closed_form_opposite(spec) == partition_function(spec))
+
+
+def _recursion_si_signed_cases(pt):
+    for sig in all_signed_permutations(2):
+        if sig(2) > sig(1):
+            spec = LatticeSpec(Model.COLORED_SIGNED, 2, 4, _LAM21, pt, sig, _ID2)
+            yield f"sigma={sig.images}", fn.check_recursion_si(spec, 1)
+
+
+def _recursion_sn_signed_cases(pt):
+    for sig in all_signed_permutations(2):
+        if sig(2) > 0:
+            spec = LatticeSpec(Model.COLORED_SIGNED, 2, 4, _LAM21, pt, sig, _ID2)
+            yield f"sigma={sig.images}", fn.check_recursion_sn(spec)
+
+
+def _recursion_si_positive_cases(pt):
+    for sig in all_plain_permutations(2):
+        if sig(2) > sig(1):
+            for tau in all_plain_permutations(2):
+                spec = LatticeSpec(Model.COLORED_POSITIVE, 2, 4, _LAM21, pt, sig, tau)
+                yield f"sigma={sig.images} tau={tau.images}", fn.check_recursion_si(spec, 1)
+
+
+def _dl_recursion_cases(pt):
+    yield "u-coefficients", fn.u_coefficient_identities(pt)
+    for sig, tau, i in ((_ID2, _ID2, 1), (_ID2, _ID2, 2), (_ID2, _SWAP2, 1), (_ID2, _SWAP2, 2),
+                        (SignedPermutation((-2, 1)), _SWAP2, 1)):
+        spec = LatticeSpec(Model.COLORED_SIGNED, 2, 4, _LAM21, pt, sig, tau)
+        yield f"sigma={sig.images} tau={tau.images} i={i}", fn.check_dl_recursion(spec, i)
+
+
+#: Every relation ``verify`` and the criteria check, by id; adding a
+#: relation is adding one entry here.
+RELATIONS = {
+    **{f"ybe-{p}": Relation(_point2, lambda pt, paranoid, XY=XY: rel.verify_ybe_uncolored(*XY, pt))
+       for p, XY in _PAIRS.items()},
+    "ybe-lemma": Relation(_lemma_triple, lambda triple, paranoid: rel.verify_ybe_lemma(*triple)),
+    **{f"caduceus-{cap}": Relation(_point2, lambda pt, paranoid, cap=cap: rel.verify_caduceus(pt, cap))
+       for cap in _CAPS},
+    **{f"fish-{cap}": Relation(_point1, lambda pt, paranoid, cap=cap: rel.verify_fish(pt, cap))
+       for cap in _CAPS},
+    **{f"ybe-colored-{m}-{p}": Relation(_point2, lambda pt, paranoid, m=m, XY=_PAIRS[p]:
+                                        rel.verify_ybe_colored(m, *XY, pt, paranoid=paranoid))
+       for m in _COLORED for p in ("dg", "gg", "dd")},
+    **{f"reflection-{m}": Relation(_point2, lambda pt, paranoid, m=m:
+                                   rel.verify_reflection(m, pt, paranoid=paranoid))
+       for m in _COLORED},
+    **{name: _functional(name, cases) for name, cases in {
+        "weyl-reflecting": _weyl_cases(Model.UNCOLORED_REFLECTING, [(2, 1)]),
+        "weyl-absorbing": _weyl_cases(Model.UNCOLORED_ABSORBING, [(2, 1), (2, 0)]),
+        "interchange-reflecting": _interchange_cases(Model.UNCOLORED_REFLECTING, (2, 1)),
+        "interchange-absorbing": _interchange_cases(Model.UNCOLORED_ABSORBING, (2, 0)),
+        "closed-form": _closed_form_cases,
+        "recursion-si-signed": _recursion_si_signed_cases,
+        "recursion-sn-signed": _recursion_sn_signed_cases,
+        "recursion-si-positive": _recursion_si_positive_cases,
+        "dl-recursion": _dl_recursion_cases,
+    }.items()},
+}
+
+
+def check_relation(relation: str, seed: int, paranoid: bool = False) -> rel.RelationReport:
+    """One point of one relation, drawn from ``seed`` (top level, so pools can pickle it)."""
+    entry = RELATIONS[relation]
+    return entry.check(entry.draw(seed), paranoid)
+
+
+def _verify(relations, seed, points, stride=1):
+    """(combos, failures) of each relation at seeds seed + stride * k, k < points;
+    with stride 1 this is ``verify`` of each relation."""
+    combos = failures = 0
+    for relation in relations:
+        for k in range(points):
+            report = check_relation(relation, seed + stride * k)
+            combos += report.combos_tested
+            failures += len(report.failures)
+    return combos, failures
+
+
+# --------------------------------------------------------------------------
 # criteria
 # --------------------------------------------------------------------------
 
 def criterion_1_ybe_uncolored(seed=DEFAULT_SEED, points=20) -> CriterionResult:
     t0 = time.time()
-    failures = 0
-    combos = 0
-    for pt in _points(points, seed):
-        for X in (GAMMA, DELTA):
-            for Y in (GAMMA, DELTA):
-                rep = rel.verify_ybe_uncolored(X, Y, pt)
-                failures += len(rep.failures)
-                combos += rep.combos_tested
+    combos, failures = _verify([f"ybe-{p}" for p in _PAIRS], seed, points)
     dt = time.time() - t0
     ok = failures == 0 and dt < 1.0
     return CriterionResult(1, "uncolored crossing identities",
@@ -92,35 +242,19 @@ def criterion_1_ybe_uncolored(seed=DEFAULT_SEED, points=20) -> CriterionResult:
 
 def criterion_2_ybe_lemma(seed=DEFAULT_SEED, points=20) -> CriterionResult:
     t0 = time.time()
-    rng = random.Random(seed)
-    failures = 0
-    tried = 0
-    while tried < points:
-        t1 = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
-        t2 = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
-        q = Fraction(rng.randint(2, 10**6), rng.randint(1, 10**6))
-        if q == 1 or 1 - (q + 1) * t1 + q * t1 * t2 == 0:
-            continue
-        failures += len(rel.verify_ybe_lemma(t1, t2, q).failures)
-        tried += 1
+    _, failures = _verify(["ybe-lemma"], seed, points)
     # the specialization that realises the fish crossing
     pt = sample_point(1, seed)
     z, q = pt.z[0], pt.q
     failures += len(rel.verify_ybe_lemma(1 / (q * z), zprime(z, q) / q, q).failures)
     dt = time.time() - t0
     return CriterionResult(2, "free-parameter crossing identity",
-                           failures == 0, f"{tried}+1 parameter triples, {failures} failures", dt)
+                           failures == 0, f"{points}+1 parameter triples, {failures} failures", dt)
 
 
 def criterion_3_caduceus(seed=DEFAULT_SEED, points=20) -> CriterionResult:
     t0 = time.time()
-    failures = 0
-    combos = 0
-    for pt in _points(points, seed):
-        for cap in ("reflecting", "absorbing"):
-            rep = rel.verify_caduceus(pt, cap)
-            failures += len(rep.failures)
-            combos += rep.combos_tested
+    combos, failures = _verify([f"caduceus-{cap}" for cap in _CAPS], seed, points)
     spot = rel.dg.caduceus_scalar(Fraction(1, 2), Fraction(1, 3), Fraction(2)) == 1
     dt = time.time() - t0
     return CriterionResult(3, "braid-vs-caps proportionality",
@@ -131,13 +265,7 @@ def criterion_3_caduceus(seed=DEFAULT_SEED, points=20) -> CriterionResult:
 
 def criterion_4_fish(seed=DEFAULT_SEED, points=20) -> CriterionResult:
     t0 = time.time()
-    failures = 0
-    combos = 0
-    for pt in _points(points, seed, n=1):
-        for cap in ("reflecting", "absorbing"):
-            rep = rel.verify_fish(pt, cap)
-            failures += len(rep.failures)
-            combos += rep.combos_tested
+    combos, failures = _verify([f"fish-{cap}" for cap in _CAPS], seed, points)
     dt = time.time() - t0
     return CriterionResult(4, "crossing-cap collapse identity",
                            failures == 0, f"{combos} combos, {failures} failures", dt)
@@ -145,15 +273,7 @@ def criterion_4_fish(seed=DEFAULT_SEED, points=20) -> CriterionResult:
 
 def criterion_5_ybe_colored(seed=DEFAULT_SEED, points=5) -> CriterionResult:
     t0 = time.time()
-    failures = 0
-    combos = 0
-    kinds = [(DELTA, GAMMA), (GAMMA, GAMMA), (DELTA, DELTA)]
-    for pt in _points(points, seed):
-        for model in ("signed", "positive"):
-            for X, Y in kinds:
-                rep = rel.verify_ybe_colored(model, X, Y, pt)
-                failures += len(rep.failures)
-                combos += rep.combos_tested
+    combos, failures = _verify([r for r in RELATIONS if r.startswith("ybe-colored-")], seed, points)
     dt = time.time() - t0
     return CriterionResult(5, "colored crossing identities",
                            failures == 0, f"{combos} combos (4^6 per sweep), {failures} failures", dt)
@@ -161,13 +281,7 @@ def criterion_5_ybe_colored(seed=DEFAULT_SEED, points=5) -> CriterionResult:
 
 def criterion_6_reflection(seed=DEFAULT_SEED, points=10) -> CriterionResult:
     t0 = time.time()
-    failures = 0
-    combos = 0
-    for pt in _points(points, seed):
-        for model in ("signed", "positive"):
-            rep = rel.verify_reflection(model, pt)
-            failures += len(rep.failures)
-            combos += rep.combos_tested
+    combos, failures = _verify([f"reflection-{m}" for m in _COLORED], seed, points)
     dt = time.time() - t0
     return CriterionResult(6, "cap braid (reflection) identities",
                            failures == 0, f"{combos} combos, {failures} failures", dt)
@@ -190,17 +304,10 @@ def _uncolored_specs(model, max_L=5):
 
 def criterion_7_functional(seed=DEFAULT_SEED, points=10) -> CriterionResult:
     t0 = time.time()
+    # the figure instance, all generators, every point
+    checked, failures = _verify([f"weyl-{cap}" for cap in _CAPS], seed, points)
     bad = []
-    checked = 0
     for model in (Model.UNCOLORED_REFLECTING, Model.UNCOLORED_ABSORBING):
-        # the figure instance, all generators, every point
-        for k in range(points):
-            pt = sample_point(2, seed + k)
-            spec = LatticeSpec(model, 2, 4, Partition((2, 1)), pt)
-            for gen in (1, 2):
-                if not fn.check_weyl_invariance(spec, (gen,)):
-                    bad.append((model.value, 2, 4, (2, 1), gen, pt))
-                checked += 1
         # sweeps n <= 2, L <= 5, all lambda, plus transfer == enumeration
         for n, L, lam in _uncolored_specs(model):
             for k in range(points):
@@ -214,29 +321,24 @@ def criterion_7_functional(seed=DEFAULT_SEED, points=10) -> CriterionResult:
                         bad.append((model.value, n, L, lam.parts, gen, pt))
                     checked += 1
     dt = time.time() - t0
-    ok = not bad and dt < 30.0
+    failures += len(bad)
+    ok = failures == 0 and dt < 30.0
     return CriterionResult(7, "normalized Weyl invariance + transfer agreement",
-                           ok, f"{checked} invariance checks, {len(bad)} failures", dt, 30.0)
+                           ok, f"{checked} invariance checks, {failures} failures", dt, 30.0)
 
 
 def criterion_8_closed_form(seed=DEFAULT_SEED, points=10) -> CriterionResult:
     t0 = time.time()
-    bad = 0
-    checked = 0
+    checked, bad = _verify(["closed-form"], seed, points, stride=7)
+    # every other (n, L) with n <= 2, L <= 5 at three points
     for n in (1, 2):
-        sigmas = list(all_signed_permutations(n))
         for L in range(n, 6):
-            for lam in _partitions(n, L - n):
-                for sig in sigmas:
-                    tau = SignedPermutation([-v for v in sig.images])
-                    npoints = points if (n, L) == (2, 4) else 3
-                    for k in range(npoints):
-                        pt = sample_point(n, seed + 7 * k)
-                        spec = LatticeSpec(Model.COLORED_SIGNED, n, L,
-                                           Partition(lam), pt, sig, tau)
-                        checked += 1
-                        if fn.closed_form_opposite(spec) != partition_function(spec):
-                            bad += 1
+            if (n, L) == (2, 4):
+                continue
+            for k in range(3):
+                for _, holds in _closed_form_cases(sample_point(n, seed + 7 * k), L):
+                    checked += 1
+                    bad += 0 if holds else 1
     dt = time.time() - t0
     return CriterionResult(8, "opposite-boundary closed form",
                            bad == 0, f"{checked} (n,L,lambda,sigma,point) cases, {bad} mismatches", dt)
@@ -244,26 +346,8 @@ def criterion_8_closed_form(seed=DEFAULT_SEED, points=10) -> CriterionResult:
 
 def criterion_9_recursions(seed=DEFAULT_SEED, points=10) -> CriterionResult:
     t0 = time.time()
-    bad = 0
-    checked = 0
-    lam = Partition((2, 1))
-    tau = SignedPermutation((1, 2))
-    for k in range(points):
-        pt = sample_point(2, seed + 13 * k)
-        for sig in all_signed_permutations(2):
-            spec = LatticeSpec(Model.COLORED_SIGNED, 2, 4, lam, pt, sig, tau)
-            if sig(2) > sig(1):
-                checked += 1
-                bad += 0 if fn.check_recursion_si(spec, 1) else 1
-            if sig(2) > 0:
-                checked += 1
-                bad += 0 if fn.check_recursion_sn(spec) else 1
-        for sig in all_plain_permutations(2):
-            if sig(2) > sig(1):
-                spec = LatticeSpec(Model.COLORED_POSITIVE, 2, 4, lam, pt, sig,
-                                   SignedPermutation((2, 1)))
-                checked += 1
-                bad += 0 if fn.check_recursion_si(spec, 1) else 1
+    checked, bad = _verify(["recursion-si-signed", "recursion-sn-signed", "recursion-si-positive"],
+                           seed, points, stride=13)
     dt = time.time() - t0
     return CriterionResult(9, "colored recursions (s_i, s_n, positive s_i)",
                            bad == 0, f"{checked} hypothesis-satisfying cases, {bad} failures", dt)
@@ -295,25 +379,11 @@ def criterion_10_demazure_lusztig(seed=DEFAULT_SEED, points=20) -> CriterionResu
                 if fn.dl_apply("Lhat", i, up, Lf) != v * f(u):
                     bad.append(("quadratic", e, i, u, v))
     # u-form of the recursion coefficients, and the lattice recursion
-    lam = Partition((2, 1))
-    tau = SignedPermutation((2, 1))
-    for k in range(points):
-        pt = sample_point(2, seed + 17 * k)
-        if not fn.u_coefficient_identities(pt):
-            bad.append(("u-coefficients", pt))
-        sig = SignedPermutation((1, 2))
-        spec = LatticeSpec(Model.COLORED_SIGNED, 2, 4, lam, pt, sig, tau)
-        if not fn.check_dl_recursion(spec, 1):
-            bad.append(("ztilde-s1", pt))
-        if not fn.check_dl_recursion(spec, 2):
-            bad.append(("ztilde-s2", pt))
-        sig2 = SignedPermutation((-2, 1))
-        spec2 = LatticeSpec(Model.COLORED_SIGNED, 2, 4, lam, pt, sig2, tau)
-        if not fn.check_dl_recursion(spec2, 1):
-            bad.append(("ztilde-s1-mixed", pt))
+    _, failures = _verify(["dl-recursion"], seed, points, stride=17)
+    failures += len(bad)
     dt = time.time() - t0
     return CriterionResult(10, "divided-difference operator correspondence",
-                           not bad, f"{len(bad)} failures", dt)
+                           failures == 0, f"{failures} failures", dt)
 
 
 def criterion_11_stochasticity(seed=DEFAULT_SEED, points=100) -> CriterionResult:

@@ -4,6 +4,11 @@ sampling, rendering, and the full acceptance suite.
 Exit codes: 0 = pass, 1 = an identity or statistical check failed (a
 counterexample is printed), 2 = invalid flags or specification.
 
+``verify`` holds no relation of its own: its ``--relation`` choices are
+the ids of ``acceptance.RELATIONS``, and point k of a run is that
+registry entry checked at seed + k, so adding a relation is adding one
+registry entry.
+
 Every run starts by printing its effective configuration (as a comment
 line, or under the "config" key in JSON mode), so any output can be
 reproduced from the output itself.  Exact rationals are always printed as
@@ -22,19 +27,18 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import partial, reduce
 
 from . import acceptance
-from . import functional as fn
 from . import relations as rel
 from .dynamics import (ESCAPE, POOLED, SamplerConfig, SamplerSoundnessError,
                        compare_empirical_to_exact, exact_outcome_probabilities,
                        run_sampler, trajectory_from_configuration)
 from .lattice import (LatticeSpec, Partition, SignedPermutation, SpecError,
-                      all_signed_permutations, enumerate_states,
-                      partition_function)
-from .rationals import DomainError, ParamPoint, SamplingError, sample_point
+                      enumerate_states, partition_function)
+from .rationals import DomainError, ParamPoint, SamplingError
 from .render import render_state
-from .weights import Family, Model, UsageError
+from .weights import Model, UsageError
 
 MODEL_NAMES = {
     "reflecting": Model.UNCOLORED_REFLECTING,
@@ -54,14 +58,17 @@ def fmt_stat(x: float) -> str:
 
 
 def parse_rat(s: str) -> Fraction:
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"not a rational number: {s!r}") from None
 
 
 def parse_rat_list(s: str) -> tuple:
     s = s.strip()
     if not s:
         return ()
-    return tuple(Fraction(tok) for tok in s.split(","))
+    return tuple(parse_rat(tok) for tok in s.split(","))
 
 
 def parse_int_list(s: str) -> tuple:
@@ -85,100 +92,8 @@ def outcome_str(key) -> str:
 # verify
 # ---------------------------------------------------------------------------
 
-def _functional_report(name, point, ok, witness) -> rel.RelationReport:
-    rep = rel.RelationReport(name)
-    rep.points_tested = 1
-    rep.combos_tested = 1
-    if not ok:
-        rep.failures.append((point, witness, "lhs", "rhs"))
-    return rep
-
-
-def _verify_one(relation: str, seed: int, k: int, paranoid: bool) -> rel.RelationReport:
-    """One point of one relation sweep (top level so pools can pickle it)."""
-    G, D = Family.GAMMA, Family.DELTA
-    pairs = {"gg": (G, G), "gd": (G, D), "dg": (D, G), "dd": (D, D)}
-    if relation.startswith("ybe-") and relation[4:] in pairs:
-        return rel.verify_ybe_uncolored(*pairs[relation[4:]], sample_point(2, seed + k))
-    if relation == "ybe-lemma":
-        import random
-        rng = random.Random(seed + k)
-        while True:
-            t1 = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
-            t2 = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
-            q = Fraction(rng.randint(2, 10**6), rng.randint(1, 10**6))
-            if q != 1 and 1 - (q + 1) * t1 + q * t1 * t2 != 0:
-                return rel.verify_ybe_lemma(t1, t2, q)
-    if relation.startswith("caduceus-"):
-        return rel.verify_caduceus(sample_point(2, seed + k), relation[len("caduceus-"):])
-    if relation.startswith("fish-"):
-        return rel.verify_fish(sample_point(1, seed + k), relation[len("fish-"):])
-    if relation.startswith("ybe-colored-"):
-        _, _, mname, pair = relation.split("-")
-        return rel.verify_ybe_colored(mname, *pairs[pair], sample_point(2, seed + k),
-                                      paranoid=paranoid)
-    if relation.startswith("reflection-"):
-        return rel.verify_reflection(relation[len("reflection-"):],
-                                     sample_point(2, seed + k), paranoid=paranoid)
-
-    # functional checks at one random point each
-    pt2 = sample_point(2, seed + k)
-    if relation.startswith("weyl-"):
-        model = MODEL_NAMES[relation[len("weyl-"):]]
-        spec = LatticeSpec(model, 2, 4, Partition((2, 1)) if
-                           model is Model.UNCOLORED_REFLECTING else Partition((2, 0)), pt2)
-        ok = all(fn.check_weyl_invariance(spec, (g,)) for g in (1, 2))
-        return _functional_report(relation, pt2, ok, "generator sweep")
-    if relation.startswith("interchange-"):
-        model = MODEL_NAMES[relation[len("interchange-"):]]
-        lam = Partition((2, 1)) if model is Model.UNCOLORED_REFLECTING else Partition((2, 0))
-        ok = fn.check_interchange(LatticeSpec(model, 2, 4, lam, pt2))
-        return _functional_report(relation, pt2, ok, "interchange")
-    if relation == "closed-form":
-        ok = True
-        for sig in all_signed_permutations(2):
-            tau = SignedPermutation([-v for v in sig.images])
-            spec = LatticeSpec(Model.COLORED_SIGNED, 2, 4, Partition((1, 0)), pt2, sig, tau)
-            ok &= fn.closed_form_opposite(spec) == partition_function(spec)
-        return _functional_report(relation, pt2, ok, "all sigma with opposite tau")
-    if relation in ("recursion-si-signed", "recursion-sn-signed", "recursion-si-positive"):
-        ok = True
-        lam = Partition((2, 1))
-        if relation == "recursion-si-positive":
-            sig = SignedPermutation((1, 2))
-            spec = LatticeSpec(Model.COLORED_POSITIVE, 2, 4, lam, pt2, sig,
-                               SignedPermutation((1, 2)))
-            ok = fn.check_recursion_si(spec, 1)
-        else:
-            for sig in all_signed_permutations(2):
-                spec = LatticeSpec(Model.COLORED_SIGNED, 2, 4, lam, pt2, sig,
-                                   SignedPermutation((1, 2)))
-                if relation.endswith("si-signed") and sig(2) > sig(1):
-                    ok &= fn.check_recursion_si(spec, 1)
-                if relation.endswith("sn-signed") and sig(2) > 0:
-                    ok &= fn.check_recursion_sn(spec)
-        return _functional_report(relation, pt2, ok, "hypothesis-satisfying sigma")
-    if relation == "dl-recursion":
-        sig = SignedPermutation((1, 2))
-        spec = LatticeSpec(Model.COLORED_SIGNED, 2, 4, Partition((2, 1)), pt2, sig,
-                           SignedPermutation((1, 2)))
-        ok = fn.check_dl_recursion(spec, 1) and fn.check_dl_recursion(spec, 2) \
-            and fn.u_coefficient_identities(pt2)
-        return _functional_report(relation, pt2, ok, "ztilde recursion")
-    raise UsageError(f"unknown relation {relation!r}")
-
-
-RELATION_IDS = (
-    ["ybe-gg", "ybe-gd", "ybe-dg", "ybe-dd", "ybe-lemma",
-     "caduceus-reflecting", "caduceus-absorbing",
-     "fish-reflecting", "fish-absorbing"]
-    + [f"ybe-colored-{m}-{p}" for m in ("signed", "positive") for p in ("dg", "gg", "dd")]
-    + ["reflection-signed", "reflection-positive",
-       "weyl-reflecting", "weyl-absorbing",
-       "interchange-reflecting", "interchange-absorbing",
-       "closed-form", "recursion-si-signed", "recursion-sn-signed",
-       "recursion-si-positive", "dl-recursion"]
-)
+#: Every relation id, in registry order (see ``acceptance.RELATIONS``).
+RELATION_IDS = tuple(acceptance.RELATIONS)
 
 
 def _require_positive(args, *names) -> None:
@@ -192,17 +107,14 @@ def cmd_verify(args) -> int:
     _require_positive(args, "points", "jobs")
     config = {"subcommand": "verify", "relation": args.relation, "points": args.points,
               "seed": args.seed, "paranoid": args.paranoid, "jobs": args.jobs}
-    report = None
-    ks = list(range(args.points))
+    check = partial(acceptance.check_relation, args.relation, paranoid=args.paranoid)
+    seeds = range(args.seed, args.seed + args.points)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            parts = list(pool.map(_verify_one, [args.relation] * len(ks),
-                                  [args.seed] * len(ks), ks,
-                                  [args.paranoid] * len(ks)))
+            parts = list(pool.map(check, seeds))
     else:
-        parts = [_verify_one(args.relation, args.seed, k, args.paranoid) for k in ks]
-    for part in parts:
-        report = part if report is None else report.merge(part)
+        parts = list(map(check, seeds))
+    report = reduce(rel.RelationReport.merge, parts)
     payload = {
         "relation": report.relation,
         "points_tested": report.points_tested,
@@ -299,7 +211,11 @@ def cmd_sample(args) -> int:
               "trajectories": args.trajectories}
     sampler_config = SamplerConfig(spec, args.seed, args.samples)
     if args.trajectories:
-        with open(args.trajectories, "w") as fh:
+        try:
+            fh = open(args.trajectories, "w")
+        except OSError as exc:
+            raise UsageError(f"cannot write --trajectories: {exc}") from None
+        with fh:
             summary = run_sampler(sampler_config, _trajectory_writer(fh))
     else:
         summary = run_sampler(sampler_config)

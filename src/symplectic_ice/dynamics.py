@@ -19,12 +19,13 @@ Randomness is a counter-based generator: each vertex decision consumes one
 chain), so samples are independent of iteration order, reproducible, and
 trivially parallel.  Cumulative weights are compared against the drawn
 word through integer thresholds ceil(c * 2^64); the 2^-64 quantization is
-far below every statistical tolerance used here.
+far below every statistical tolerance used here.  The conditional laws
+are the rows of ``lattice.row_weight_tables``.
 
 ``exact_outcome_probabilities`` is the exact law of the bottom outcome
 in one pass: a row transfer from the top over the words of vertical
 labels between row pairs, summing the same conditional probabilities the
-sampler draws from (read from ``lattice.row_weight_tables``).
+sampler draws from.
 ``exhaustive_distribution`` replaces the random word by a recursive sum
 over all branch choices with exact rational probabilities; it is kept as
 an independent oracle for the law, and for small systems it reproduces
@@ -40,9 +41,9 @@ from fractions import Fraction
 from scipy.stats import chi2
 
 from .lattice import (Configuration, LatticeSpec, boundary_assignment,
-                      bottom_outcome, row_weight_tables)
+                      bottom_outcome, bottom_row_outcome, row_weight_tables)
 from .rationals import in_stochastic_regime
-from .weights import Family, admissible_pattern, cap_map, vertex_weight
+from .weights import Family, cap_map, vertex_weight
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -81,45 +82,40 @@ class SamplerConfig:
             raise ValueError("sampler requires a point in the stochastic regime")
 
 
+def _by_right_input(table: dict) -> dict:
+    """A row table re-keyed by (right, top), for a right-to-left sweep."""
+    out: dict = {}
+    for (left, top), entries in table.items():
+        for right, bottom, w in entries:
+            out.setdefault((right, top), []).append((left, bottom, w))
+    return out
+
+
 def _conditional_tables(spec: LatticeSpec):
     """Per row: dict inputs -> (outputs list, integer cumulative thresholds).
 
     Gamma rows: inputs (left, top), outputs (right, bottom).
     Delta rows: inputs (right, top), outputs (left, bottom).
-    Rows sum to exactly 1; thresholds are ceil(cum * 2^64).
+    Read from ``row_weight_tables``, the outputs in which the carried label
+    passes straight through first.  Rows sum to exactly 1; thresholds are
+    ceil(cum * 2^64).
     """
-    letters = spec.alphabet
-    q = spec.point.q
     tables = []
-    for r in range(1, 2 * spec.n + 1):
-        fam = Family.GAMMA if r % 2 == 0 else Family.DELTA
-        z = spec.point.z[(r + 1) // 2 - 1]
-        table = {}
-        for a in letters:
-            for b in letters:
-                if fam is Family.GAMMA:
-                    cands = [(a, b), (b, a)] if a != b else [(a, a)]
-                    patterns = [(a, b, r_, b_) for r_, b_ in cands]
-                else:
-                    cands = [(a, b), (b, a)] if a != b else [(a, a)]
-                    patterns = [(l_, b, a, b_) for l_, b_ in cands]
-                outs, weights = [], []
-                for cand, pat in zip(cands, patterns):
-                    if not admissible_pattern(spec.model, fam, pat):
-                        continue
-                    w = vertex_weight(spec.model, fam, pat, (z,), q)
-                    outs.append(cand)
-                    weights.append(w)
-                total = sum(weights, ZERO)
-                if total != 1:
-                    raise SamplerSoundnessError(
-                        f"{fam.value} row {r} inputs {(a, b)} sum to {total}, not 1")
-                cum, thresholds = ZERO, []
-                for w in weights:
-                    cum += w
-                    thresholds.append(-(-(cum.numerator * _TWO64) // cum.denominator))
-                table[(a, b)] = (outs, thresholds)
-        tables.append(table)
+    for r, table in enumerate(row_weight_tables(spec), start=1):
+        if r % 2 == 1:
+            table = _by_right_input(table)
+        conditional = {}
+        for (cur, top), entries in table.items():
+            entries = sorted(entries, key=lambda entry: entry[0] != cur)
+            total = sum((w for _, _, w in entries), ZERO)
+            if total != 1:
+                raise SamplerSoundnessError(f"row {r} inputs {(cur, top)} sum to {total}, not 1")
+            cum, thresholds = ZERO, []
+            for _, _, w in entries:
+                cum += w
+                thresholds.append(-(-(cum.numerator * _TWO64) // cum.denominator))
+            conditional[(cur, top)] = ([(out, bottom) for out, bottom, _ in entries], thresholds)
+        tables.append(conditional)
     return tables
 
 
@@ -182,13 +178,8 @@ class Sampler:
         config = Configuration(spec.model, spec.n, L,
                                tuple(tuple(row) for row in vert),
                                tuple(tuple(row) for row in hor))
-        key = ESCAPE if escaped else outcome_key(config)
+        key = ESCAPE if escaped else bottom_outcome(config)
         return SampleOutcome(config, escaped, key)
-
-
-def outcome_key(config: Configuration):
-    parts, colors = bottom_outcome(config)
-    return (parts, colors)
 
 
 def sample_configuration(config: SamplerConfig, index: int) -> SampleOutcome:
@@ -268,16 +259,6 @@ def configuration_weight(spec: LatticeSpec, config: Configuration) -> Fraction:
     return w
 
 
-def _bottom_key(spec: LatticeSpec, bottom_row) -> tuple:
-    """Outcome key (lambda parts, colors-or-None) of a bottom row of labels."""
-    cols = [c for c in range(spec.L, 0, -1) if bottom_row[c - 1] != 0]
-    np_ = len(cols)
-    parts = tuple(col - (np_ + 1 - i) for i, col in enumerate(cols, start=1))
-    if spec.model.colored:
-        return (parts, tuple(bottom_row[col - 1] for col in cols))
-    return (parts, None)
-
-
 def exhaustive_distribution(spec: LatticeSpec) -> dict:
     """Exact law of the sampler: key -> probability, summing to 1.
 
@@ -296,7 +277,7 @@ def exhaustive_distribution(spec: LatticeSpec) -> dict:
 
     def pair(i: int, prob: Fraction, escaped: bool):
         if i == 0:
-            key = ESCAPE if escaped else _bottom_key(spec, vert[0])
+            key = ESCAPE if escaped else bottom_row_outcome(spec.model, vert[0])
             dist[key] = dist.get(key, ZERO) + prob
             return
         r = 2 * i
@@ -338,15 +319,6 @@ def exhaustive_distribution(spec: LatticeSpec) -> dict:
 # ---------------------------------------------------------------------------
 # The exact outcome law and empirical-vs-exact comparison
 # ---------------------------------------------------------------------------
-
-def _by_right_input(table: dict) -> dict:
-    """A row table re-keyed by (right, top), for a right-to-left sweep."""
-    out: dict = {}
-    for (left, top), entries in table.items():
-        for right, bottom, w in entries:
-            out.setdefault((right, top), []).append((left, bottom, w))
-    return out
-
 
 def _sweep_vertex(front: dict, table: dict, k: int) -> dict:
     """Resolve the vertex at word position k for every frontier entry.
@@ -391,7 +363,7 @@ def exact_outcome_probabilities(spec: LatticeSpec) -> dict:
         for c in range(1, L + 1):
             front = _sweep_vertex(front, delta, c - 1)
         words = {word: p for (word, left), p in front.items() if left == bnd.left[2 * i - 2]}
-    out = {_bottom_key(spec, word): p for word, p in words.items() if p != 0}
+    out = {bottom_row_outcome(spec.model, word): p for word, p in words.items() if p != 0}
     total = sum(out.values(), ZERO)
     if total > 1:
         raise SamplerSoundnessError(f"outcome probabilities sum to {total} > 1")

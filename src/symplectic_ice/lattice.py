@@ -377,17 +377,21 @@ def partition_function(spec: LatticeSpec) -> Fraction:
     return total
 
 
-def bottom_outcome(config: Configuration):
-    """(lambda parts, colors) read off the bottom boundary of a state.
+def bottom_row_outcome(model: Model, bottom_row) -> tuple:
+    """(lambda parts, colors) read off a bottom row of labels (index c-1).
 
     Positions are the particle columns in decreasing order; part i is
     recovered as column - (n' + 1 - i).  colors is None for uncolored
-    configurations, else the tuple (tau(1), .., tau(n')).
+    models, else the tuple (tau(1), .., tau(n')).
     """
-    cols = [c for c in range(config.L, 0, -1) if config.vert[0][c - 1] != 0]
+    cols = [c for c in range(len(bottom_row), 0, -1) if bottom_row[c - 1] != 0]
     np = len(cols)
     parts = tuple(col - (np + 1 - i) for i, col in enumerate(cols, start=1))
-    if config.model.colored:
-        colors = tuple(config.vert[0][col - 1] for col in cols)
-        return parts, colors
+    if model.colored:
+        return parts, tuple(bottom_row[col - 1] for col in cols)
     return parts, None
+
+
+def bottom_outcome(config: Configuration):
+    """(lambda parts, colors) read off the bottom boundary of a state."""
+    return bottom_row_outcome(config.model, config.vert[0])

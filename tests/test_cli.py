@@ -1,14 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
 from fractions import Fraction as F
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symplectic_ice import cli
+from symplectic_ice import acceptance, cli
 from symplectic_ice import diagram as dg
 from symplectic_ice import dynamics, weights
+from symplectic_ice.lattice import all_signed_permutations
 from symplectic_ice.weights import Family
 
 
@@ -65,6 +70,27 @@ def test_verify_json_schema(capsys):
     payload.pop("config")
     jsonschema.validate(payload, load_schema("relation_report.schema.json"))
     assert payload["passed"] is True
+
+
+@pytest.mark.parametrize("relation", cli.RELATION_IDS)
+def test_verify_every_relation_json_schema(capsys, relation):
+    code, out, _ = run(capsys, "verify", "--relation", relation, "--points", "1", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    payload.pop("config")
+    jsonschema.validate(payload, load_schema("relation_report.schema.json"))
+    assert payload["relation"] == relation and payload["combos_tested"] > 0
+
+
+def test_criterion_1_is_verify_of_the_crossing_relations(capsys):
+    result = acceptance.criterion_1_ybe_uncolored(seed=9, points=3)
+    combos = 0
+    for relation in ("ybe-gg", "ybe-gd", "ybe-dg", "ybe-dd"):
+        code, out, _ = run(capsys, "verify", "--relation", relation, "--points", "3",
+                           "--seed", "9", "--json")
+        assert code == 0
+        combos += json.loads(out)["combos_tested"]
+    assert result.detail.startswith(f"{combos} boundary combos")
 
 
 def test_verify_corrupted_preset_exits_one(capsys, monkeypatch):
@@ -159,6 +185,12 @@ def test_sample_trajectories_draw_each_sample_once(tmp_path, capsys, monkeypatch
     ("sample", "--model", "reflecting", "--n", "1", "--L", "2", "--z", "3/4",
      "--q", "1/2", "--samples", "-5"),
     ("partition", "--config"),
+    ("sample", "--model", "reflecting", "--n", "1", "--L", "2", "--z", "3/4",
+     "--q", "1/2", "--samples", "10", "--trajectories", "/nonexistent/dir/t.jsonl"),
+    ("partition", "--model", "reflecting", "--n", "1", "--L", "1", "--lambda", "0",
+     "--z", "1/0", "--q", "2"),
+    ("partition", "--model", "reflecting", "--n", "1", "--L", "1", "--lambda", "0",
+     "--z", "1/2", "--q", "1/0"),
 ])
 def test_invalid_counts_and_flags_exit_two(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -212,3 +244,61 @@ def test_suite_quick(capsys):
     code, out, _ = run(capsys, "suite", "--quick")
     assert code == 0
     assert out.count("PASS") >= 12
+
+
+# Small flag values, degenerate and malformed ones included: whatever the
+# input, the exit code keeps its meaning and no traceback escapes.
+RATIONAL = st.sampled_from(["3/4", "4/5", "1/2", "2", "1", "0", "-1", "1/0", "x"])
+BAD_VALUE = st.sampled_from(["-1", "0", "1/0", "x", "", "1,1", "3"])
+
+
+@st.composite
+def spec_flags(draw):
+    """A well-formed spec with n, L <= 2, then maybe one flag replaced."""
+    model = draw(st.sampled_from(sorted(cli.MODEL_NAMES)))
+    n = draw(st.sampled_from([1, 2]))
+    flags = {"--model": model, "--n": str(n), "--L": draw(st.sampled_from(["0", "1", "2"])),
+             "--z": ",".join(draw(st.lists(RATIONAL, min_size=n, max_size=n))),
+             "--q": draw(RATIONAL), "--sigma": ""}
+    if cli.MODEL_NAMES[model].colored:
+        sigmas = [s for s in all_signed_permutations(n) if model == "signed" or s.all_positive]
+        flags["--sigma"] = ",".join(map(str, draw(st.sampled_from(sigmas)).images))
+    if draw(st.booleans()):
+        flags[draw(st.sampled_from(sorted(flags)))] = draw(BAD_VALUE)
+    return [f"{name}={value}" for name, value in flags.items()]
+
+
+def exit_code_and_stderr(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:       # argparse rejecting a flag
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=50, deadline=None)
+@given(relation=st.sampled_from(cli.RELATION_IDS + ("no-such-relation",)),
+       points=st.sampled_from(["-1", "0", "1"]), seed=st.integers(-3, 3),
+       jobs=st.sampled_from(["-1", "0", "1"]))
+def test_verify_small_flags_keep_exit_contract(relation, points, seed, jobs):
+    code, err = exit_code_and_stderr(["verify", "--relation", relation, "--points", points,
+                                      "--seed", str(seed), "--jobs", jobs])
+    assert code in (0, 1, 2) and "Traceback" not in err
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=spec_flags(), lam=st.sampled_from(["", "0", "1", "0,0", "1,0", "2,1", "0,1", "-1"]),
+       method=st.sampled_from(["enumeration", "transfer"]))
+def test_partition_small_flags_keep_exit_contract(spec, lam, method):
+    code, err = exit_code_and_stderr(["partition", *spec, f"--lambda={lam}", "--method", method])
+    assert code in (0, 1, 2) and "Traceback" not in err
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=spec_flags(), samples=st.sampled_from(["-1", "0", "1", "50"]),
+       seed=st.integers(-3, 3))
+def test_sample_small_flags_keep_exit_contract(spec, samples, seed):
+    code, err = exit_code_and_stderr(["sample", *spec, "--samples", samples, "--seed", str(seed)])
+    assert code in (0, 1, 2) and "Traceback" not in err

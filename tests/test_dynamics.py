@@ -97,6 +97,27 @@ class TestSampler:
             assert states[out.config] == w
         assert hits > 0
 
+    @pytest.mark.parametrize("model, sigma, histogram", [
+        (UR, None, {ESCAPE: 185, ((0, 0), None): 2, ((1, 0), None): 4, ((1, 1), None): 9}),
+        (UA, None, {ESCAPE: 189, ((0, 0), None): 1, ((1, 0), None): 6, ((1, 1), None): 4}),
+        (CS, (2, -1), {ESCAPE: 151, ((0, 0), (-2, 1)): 1, ((0, 0), (1, -2)): 3,
+                       ((0, 0), (2, -1)): 2, ((0, 0), (2, 1)): 2, ((1, 0), (-1, 2)): 1,
+                       ((1, 0), (1, -2)): 2, ((1, 0), (2, -1)): 7, ((1, 0), (2, 1)): 2,
+                       ((1, 1), (-1, -2)): 1, ((1, 1), (-1, 2)): 3, ((1, 1), (1, 2)): 3,
+                       ((1, 1), (2, -1)): 7, ((1, 1), (2, 1)): 15}),
+        (CP, (2, 1), {ESCAPE: 185, ((0, 0), (1, 2)): 1, ((0, 0), (2, 1)): 1,
+                      ((1, 0), (1, 2)): 3, ((1, 0), (2, 1)): 1, ((1, 1), (1, 2)): 1,
+                      ((1, 1), (2, 1)): 8}),
+    ])
+    def test_histogram_pinned_per_family(self, model, sigma, histogram):
+        # 200 samples at seed 7: reordering the outputs of any conditional
+        # table moves samples between outcomes
+        sig = SignedPermutation(sigma) if sigma else None
+        lam = Partition(()) if model is UA else Partition((0, 0))
+        point = ParamPoint((F(3, 4), F(4, 5)), F(1, 2))
+        summary = run_sampler(SamplerConfig(LatticeSpec(model, 2, 3, lam, point, sig, sig), 7, 200))
+        assert summary.histogram == histogram
+
     def test_escapes_are_outcomes(self):
         summary = run_sampler(SamplerConfig(reflecting_spec(), 2, 2000))
         assert summary.escape_count > 0
