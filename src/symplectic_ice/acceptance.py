@@ -105,13 +105,14 @@ def _lemma_triple(seed):
 
 def _functional(name, cases):
     """A global law as a relation at n = 2 points: ``cases(point)`` yields
-    (case, holds) pairs; each case is one combo, each false one a failure."""
+    (case, lhs, rhs) triples; each case is one combo, each with lhs != rhs
+    a failure recorded as (point, case, lhs, rhs)."""
     def check(pt, paranoid):
         report = rel.RelationReport(name, points_tested=1)
-        for case, holds in cases(pt):
+        for case, lhs, rhs in cases(pt):
             report.combos_tested += 1
-            if not holds:
-                report.failures.append((pt, case, "lhs", "rhs"))
+            if lhs != rhs:
+                report.failures.append((pt, case, lhs, rhs))
         return report
     return Relation(_point2, check)
 
@@ -128,13 +129,13 @@ def _weyl_cases(model, lams):
         for lam in lams:
             spec = LatticeSpec(model, 2, 4, Partition(lam), pt)
             for gen in (1, 2):
-                yield f"lambda={lam} s_{gen}", fn.check_weyl_invariance(spec, (gen,))
+                yield f"lambda={lam} s_{gen}", *fn.weyl_invariance_sides(spec, (gen,))
     return cases
 
 
 def _interchange_cases(model, lam):
     def cases(pt):
-        yield f"lambda={lam}", fn.check_interchange(LatticeSpec(model, 2, 4, Partition(lam), pt))
+        yield f"lambda={lam}", *fn.interchange_sides(LatticeSpec(model, 2, 4, Partition(lam), pt))
     return cases
 
 
@@ -145,22 +146,21 @@ def _closed_form_cases(pt, L=4):
         for sig in all_signed_permutations(n):
             tau = SignedPermutation([-v for v in sig.images])
             spec = LatticeSpec(Model.COLORED_SIGNED, n, L, Partition(lam), pt, sig, tau)
-            yield (f"L={L} lambda={lam} sigma={sig.images}",
-                   fn.closed_form_opposite(spec) == partition_function(spec))
+            yield f"L={L} lambda={lam} sigma={sig.images}", *fn.closed_form_sides(spec)
 
 
 def _recursion_si_signed_cases(pt):
     for sig in all_signed_permutations(2):
         if sig(2) > sig(1):
             spec = LatticeSpec(Model.COLORED_SIGNED, 2, 4, _LAM21, pt, sig, _ID2)
-            yield f"sigma={sig.images}", fn.check_recursion_si(spec, 1)
+            yield f"sigma={sig.images}", *fn.recursion_si_sides(spec, 1)
 
 
 def _recursion_sn_signed_cases(pt):
     for sig in all_signed_permutations(2):
         if sig(2) > 0:
             spec = LatticeSpec(Model.COLORED_SIGNED, 2, 4, _LAM21, pt, sig, _ID2)
-            yield f"sigma={sig.images}", fn.check_recursion_sn(spec)
+            yield f"sigma={sig.images}", *fn.recursion_sn_sides(spec)
 
 
 def _recursion_si_positive_cases(pt):
@@ -168,15 +168,16 @@ def _recursion_si_positive_cases(pt):
         if sig(2) > sig(1):
             for tau in all_plain_permutations(2):
                 spec = LatticeSpec(Model.COLORED_POSITIVE, 2, 4, _LAM21, pt, sig, tau)
-                yield f"sigma={sig.images} tau={tau.images}", fn.check_recursion_si(spec, 1)
+                yield f"sigma={sig.images} tau={tau.images}", *fn.recursion_si_sides(spec, 1)
 
 
 def _dl_recursion_cases(pt):
-    yield "u-coefficients", fn.u_coefficient_identities(pt)
+    for name, lhs, rhs in fn.u_coefficient_sides(pt):
+        yield f"u-coefficient {name}", lhs, rhs
     for sig, tau, i in ((_ID2, _ID2, 1), (_ID2, _ID2, 2), (_ID2, _SWAP2, 1), (_ID2, _SWAP2, 2),
                         (SignedPermutation((-2, 1)), _SWAP2, 1)):
         spec = LatticeSpec(Model.COLORED_SIGNED, 2, 4, _LAM21, pt, sig, tau)
-        yield f"sigma={sig.images} tau={tau.images} i={i}", fn.check_dl_recursion(spec, i)
+        yield f"sigma={sig.images} tau={tau.images} i={i}", *fn.dl_recursion_sides(spec, i)
 
 
 #: Every relation ``verify`` and the criteria check, by id; adding a
@@ -336,9 +337,9 @@ def criterion_8_closed_form(seed=DEFAULT_SEED, points=10) -> CriterionResult:
             if (n, L) == (2, 4):
                 continue
             for k in range(3):
-                for _, holds in _closed_form_cases(sample_point(n, seed + 7 * k), L):
+                for _, lhs, rhs in _closed_form_cases(sample_point(n, seed + 7 * k), L):
                     checked += 1
-                    bad += 0 if holds else 1
+                    bad += lhs != rhs
     dt = time.time() - t0
     return CriterionResult(8, "opposite-boundary closed form",
                            bad == 0, f"{checked} (n,L,lambda,sigma,point) cases, {bad} mismatches", dt)

@@ -103,6 +103,17 @@ def _require_positive(args, *names) -> None:
             raise UsageError(f"--{name} must be at least 1, got {getattr(args, name)}")
 
 
+def _failure_json(point, where, lhs, rhs) -> dict:
+    """One failure of a RelationReport: ``where`` is the boundary tuple of a
+    local identity or the case string of a global law."""
+    out = {"point": repr(point), "boundary": list(where) if isinstance(where, tuple) else [],
+           "lhs": fmt_rat(lhs) if isinstance(lhs, Fraction) else str(lhs),
+           "rhs": fmt_rat(rhs) if isinstance(rhs, Fraction) else str(rhs)}
+    if isinstance(where, str):
+        out["case"] = where
+    return out
+
+
 def cmd_verify(args) -> int:
     _require_positive(args, "points", "jobs")
     config = {"subcommand": "verify", "relation": args.relation, "points": args.points,
@@ -120,12 +131,7 @@ def cmd_verify(args) -> int:
         "points_tested": report.points_tested,
         "combos_tested": report.combos_tested,
         "passed": report.passed,
-        "failures": [
-            {"point": repr(point), "boundary": list(boundary) if isinstance(boundary, tuple) else [],
-             "lhs": fmt_rat(lhs) if isinstance(lhs, Fraction) else str(lhs),
-             "rhs": fmt_rat(rhs) if isinstance(rhs, Fraction) else str(rhs)}
-            for point, boundary, lhs, rhs in report.failures[:10]
-        ],
+        "failures": [_failure_json(*failure) for failure in report.failures[:10]],
     }
     if args.json:
         print(json.dumps({"config": config, **payload}, indent=2, sort_keys=True))
@@ -134,8 +140,8 @@ def cmd_verify(args) -> int:
         print(f"{report.relation}: {'PASS' if report.passed else 'FAIL'} "
               f"({report.points_tested} points, {report.combos_tested} combos)")
         for f in payload["failures"]:
-            print(f"  counterexample: boundary={f['boundary']} lhs={f['lhs']} "
-                  f"rhs={f['rhs']} at {f['point']}")
+            where = f"case={f['case']}" if "case" in f else f"boundary={f['boundary']}"
+            print(f"  counterexample: {where} lhs={f['lhs']} rhs={f['rhs']} at {f['point']}")
     return 0 if report.passed else 1
 
 

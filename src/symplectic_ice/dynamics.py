@@ -22,6 +22,17 @@ word through integer thresholds ceil(c * 2^64); the 2^-64 quantization is
 far below every statistical tolerance used here.  The conditional laws
 are the rows of ``lattice.row_weight_tables``.
 
+``run_sampler`` draws the histogram by a batched sweep: numpy arrays
+indexed by sample carry the same sweep for up to ``_CHUNK`` samples at
+once, the hash chain split so that only its column round runs per vertex,
+and the outcome of each sample read off its bottom word alone.  Because
+the generator is counter-based, the batch draws exactly the words the
+scalar sweep draws, so its summary is identical, not approximately equal.
+The scalar ``Sampler`` builds one ``Configuration`` per sample; it serves
+per-sample export (``run_sampler`` with an ``each`` hook, as ``sample
+--trajectories`` uses), ``sample_configuration``, and is the oracle the
+batch is tested against.
+
 ``exact_outcome_probabilities`` is the exact law of the bottom outcome
 in one pass: a row transfer from the top over the words of vertical
 labels between row pairs, summing the same conditional probabilities the
@@ -38,6 +49,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
 from scipy.stats import chi2
 
 from .lattice import (Configuration, LatticeSpec, boundary_assignment,
@@ -210,17 +222,169 @@ def run_sampler(config: SamplerConfig, each=None) -> SampleSummary:
 
     ``each``, if given, is called as ``each(index, outcome)`` on every
     sample in index order, so a caller can export samples without drawing
-    them a second time.
+    them a second time; those samples come from the scalar ``Sampler``.
+    Without it the samples are drawn by the batched sweep, whose summary
+    is identical to the scalar one.
     """
-    sampler = Sampler(config)
     summary = SampleSummary(config.num_samples)
-    for index in range(config.num_samples):
-        outcome = sampler.sample(index)
-        summary.record(outcome)
-        if each is not None:
+    if each is None:
+        batch = _BatchSampler(config)
+        for start in range(0, config.num_samples, _CHUNK):
+            batch.record(summary, start, min(start + _CHUNK, config.num_samples))
+    else:
+        sampler = Sampler(config)
+        for index in range(config.num_samples):
+            outcome = sampler.sample(index)
+            summary.record(outcome)
             each(index, outcome)
     summary.check()
     return summary
+
+
+# ---------------------------------------------------------------------------
+# The batched sweep
+# ---------------------------------------------------------------------------
+
+#: Samples swept together by ``_BatchSampler``; bounds its working memory
+#: (a few integer arrays of L x _CHUNK) whatever the number of samples.
+_CHUNK = 1 << 14
+
+_U64 = np.uint64
+_MIX_START = np.array([0x9E3779B97F4A7C15], dtype=np.uint64)
+_MIX_A, _MIX_B = _U64(0xBF58476D1CE4E5B9), _U64(0x94D049BB133111EB)
+_SHIFT_A, _SHIFT_B, _SHIFT_C = _U64(30), _U64(27), _U64(31)
+_NEVER = _MASK    # a limit no 64-bit word exceeds
+
+
+def _mix_round(h, word):
+    """One round of ``mix64`` on uint64 arrays, broadcasting ``h`` against
+    ``word``; numpy's uint64 arithmetic wraps modulo 2^64, which is the
+    masking ``mix64`` does by hand."""
+    h = h + word
+    h = (h ^ (h >> _SHIFT_A)) * _MIX_A
+    h = (h ^ (h >> _SHIFT_B)) * _MIX_B
+    return h ^ (h >> _SHIFT_C)
+
+
+def _seed_round(seed: int):
+    """``mix64``'s state after the seed word: a one-element uint64 array."""
+    return _mix_round(_MIX_START, _U64(seed & _MASK))
+
+
+def _pack_row(conditional: dict, index: dict):
+    """One row of ``_conditional_tables`` as arrays over label indices.
+
+    The inputs (cur, top) become the key ``index[cur] * A + index[top]``
+    (A letters).  Slot k of a key holds its k-th output in
+    ``outs[key * K + k]`` and ``bottoms[key * K + k]`` and, for k < K - 1,
+    its threshold minus 1 in ``limits[k][key]``, so the scalar sweep's
+    ``u >= threshold`` is ``u > limit``.  Outputs of threshold 0 are
+    left out (the scalar sweep always steps past them), so every stored
+    threshold is at least 1.  The last threshold of a key is 2^64 (its
+    row sums to 1), which no word reaches, so it is not stored; a
+    threshold of 2^64 before it and every padding slot hold 2^64 - 1,
+    which no word exceeds.  Counting the thresholds <= u gives the scalar
+    loop's index only if they rise, so a falling one is an error.
+    """
+    A = len(index)
+    if len(conditional) != A * A:
+        raise SamplerSoundnessError(f"a row has {len(conditional)} of {A * A} input pairs")
+    K = max(len(pairs) for pairs, _ in conditional.values())
+    outs = np.zeros(A * A * K, dtype=np.intp)
+    bottoms = np.zeros(A * A * K, dtype=np.intp)
+    limits = np.full((K - 1, A * A), _NEVER, dtype=np.uint64)
+    for (cur, top), (pairs, thresholds) in conditional.items():
+        if any(b < a for a, b in zip(thresholds, thresholds[1:])):
+            raise SamplerSoundnessError(f"inputs {(cur, top)} have a negative weight")
+        key = index[cur] * A + index[top]
+        kept = [(pair, t) for pair, t in zip(pairs, thresholds) if t > 0]
+        for k, ((out, bottom), t) in enumerate(kept):
+            outs[key * K + k] = index[out]
+            bottoms[key * K + k] = index[bottom]
+            if k < K - 1:
+                limits[k, key] = t - 1
+    return limits, outs, bottoms, K
+
+
+def _pick(limits, keys, u):
+    """Slot drawn by each word: how many stored thresholds of its key are
+    <= u.  A key's thresholds rise (``_pack_row`` checks it), so this slot
+    holds the output the scalar ``while u >= thresholds[k]`` loop stops at."""
+    k = np.zeros(u.shape, dtype=np.intp)
+    for limit in limits:
+        k += u > limit[keys]
+    return k
+
+
+class _BatchSampler:
+    """``Sampler.sample`` swept over a range of sample indices at once.
+
+    Labels are handled as their indices in the spec's alphabet, and the
+    state of a sample is the word of vertical labels below the last row
+    swept plus the carried horizontal label.  Each vertex reads the word
+    ``mix64(seed, index, row, column)`` of every sample: the seed round
+    runs once, the index round once per chunk, the row round once per row
+    and only the column round per vertex, so every word and every step
+    equals the scalar sweep's.
+    """
+
+    def __init__(self, config: SamplerConfig):
+        spec = config.spec
+        self.spec = spec
+        self.letters = np.array(spec.alphabet)
+        index = {label: i for i, label in enumerate(spec.alphabet)}
+        self.rows = [_pack_row(table, index) for table in _conditional_tables(spec)]
+        bnd = boundary_assignment(spec)
+        self.left = [index[label] for label in bnd.left]
+        self.top = np.array([index[label] for label in bnd.top], dtype=np.intp)
+        self.cap = np.array([index[cap_map(spec.model, label)] for label in spec.alphabet],
+                            dtype=np.intp)
+        self.empty = index[0]
+        self.columns = np.arange(1, spec.L + 1, dtype=np.uint64)[:, None]
+        self.seed_hash = _seed_round(config.seed)
+
+    def _sweep_row(self, r, cur, word, h_index):
+        """Sweep row r from the carried labels ``cur``, rewriting ``word``
+        (index c-1 for column c) in place; returns the row's last output."""
+        limits, outs, bottoms, K = self.rows[r - 1]
+        A = len(self.letters)
+        u = _mix_round(_mix_round(h_index, _U64(r)), self.columns)
+        L = self.spec.L
+        for c in (range(L, 0, -1) if r % 2 == 0 else range(1, L + 1)):
+            keys = cur * A + word[c - 1]
+            slot = keys * K + _pick(limits, keys, u[c - 1])
+            cur = outs[slot]
+            word[c - 1] = bottoms[slot]
+        return cur
+
+    def draw(self, start: int, stop: int):
+        """(bottom word, escaped) of samples start..stop-1: the bottom
+        labels as indices, shape (L, samples), and a boolean per sample."""
+        h_index = _mix_round(self.seed_hash, np.arange(start, stop, dtype=np.uint64))
+        word = np.repeat(self.top[:, None], stop - start, axis=1)
+        escaped = np.zeros(stop - start, dtype=bool)
+        for i in range(self.spec.n, 0, -1):
+            cur = np.full(stop - start, self.left[2 * i - 1], dtype=np.intp)
+            cur = self._sweep_row(2 * i, cur, word, h_index)
+            cur = self._sweep_row(2 * i - 1, self.cap[cur], word, h_index)
+            escaped |= cur != self.empty
+        return word, escaped
+
+    def record(self, summary: SampleSummary, start: int, stop: int):
+        """Add samples start..stop-1 to the summary, keys in the order of
+        their first sample, as ``SampleSummary.record`` would add them."""
+        word, escaped = self.draw(start, stop)
+        kept = np.flatnonzero(~escaped)
+        rows, first, counts = np.unique(word[:, kept].T, axis=0,
+                                        return_index=True, return_counts=True)
+        found = [(kept[f], bottom_row_outcome(self.spec.model, self.letters[row].tolist()), n)
+                 for row, f, n in zip(rows, first, counts)]
+        escapes = np.flatnonzero(escaped)
+        if escapes.size:
+            found.append((escapes[0], ESCAPE, escapes.size))
+            summary.escape_count += int(escapes.size)
+        for _, key, count in sorted(found, key=lambda entry: entry[0]):
+            summary.histogram[key] = summary.histogram.get(key, 0) + int(count)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,11 @@ Lhat_i o L_i = v id.
 
 Partition functions are treated as black-box evaluables at parameter
 points; operators act by evaluating at transformed points, never
-symbolically.  Hypothesis-violating calls raise UsageError rather than
-silently skipping.
+symbolically.  Each law has a ``*_sides`` function returning its two
+sides as exact rationals, so a false case can be reported with both
+values, and a ``check_*`` wrapper returning whether they are equal.
+Hypothesis-violating calls raise UsageError rather than silently
+skipping.
 """
 
 from __future__ import annotations
@@ -41,6 +44,11 @@ from .rationals import ParamPoint
 from .weights import Model, UsageError
 
 ONE = Fraction(1)
+
+
+def _holds(sides: tuple) -> bool:
+    lhs, rhs = sides
+    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -88,12 +96,17 @@ def apply_word(point: ParamPoint, word) -> ParamPoint:
 # Uncolored functional equations
 # ---------------------------------------------------------------------------
 
-def check_permutation_invariance(spec: LatticeSpec, i: int) -> bool:
-    """Z(z) = Z(s_i z) for adjacent transpositions, any uncolored family."""
+def permutation_invariance_sides(spec: LatticeSpec, i: int) -> tuple:
+    """(Z(z), Z(s_i z)) for an adjacent transposition, any uncolored family."""
     if not 1 <= i <= spec.n - 1:
         raise UsageError("transposition index must satisfy 1 <= i <= n-1")
     swapped = spec.with_point(spec.point.swap_z(i, i + 1))
-    return partition_function(spec) == partition_function(swapped)
+    return partition_function(spec), partition_function(swapped)
+
+
+def check_permutation_invariance(spec: LatticeSpec, i: int) -> bool:
+    """Z(z) = Z(s_i z) for adjacent transpositions, any uncolored family."""
+    return _holds(permutation_invariance_sides(spec, i))
 
 
 def interchange_factor(model: Model, point: ParamPoint, L: int) -> Fraction:
@@ -108,25 +121,35 @@ def interchange_factor(model: Model, point: ParamPoint, L: int) -> Fraction:
     return base * num / den
 
 
-def check_interchange(spec: LatticeSpec) -> bool:
-    """Z(s_n z) equals interchange_factor * Z(z)."""
+def interchange_sides(spec: LatticeSpec) -> tuple:
+    """(Z(s_n z), interchange_factor * Z(z))."""
     if spec.model.colored:
         raise UsageError("interchange law stated for the uncolored families")
     moved = spec.with_point(apply_generator(spec.point, spec.n))
     lhs = partition_function(moved)
     rhs = interchange_factor(spec.model, spec.point, spec.L) * partition_function(spec)
-    return lhs == rhs
+    return lhs, rhs
 
 
-def check_weyl_invariance(spec: LatticeSpec, word) -> bool:
-    """Z/D is invariant under the Weyl word (D = D1 reflecting, D2 absorbing)."""
+def check_interchange(spec: LatticeSpec) -> bool:
+    """Z(s_n z) equals interchange_factor * Z(z)."""
+    return _holds(interchange_sides(spec))
+
+
+def weyl_invariance_sides(spec: LatticeSpec, word) -> tuple:
+    """(Z/D at the moved point, Z/D at the point), D = D1 reflecting, D2 absorbing."""
     if spec.model.colored:
         raise UsageError("normalized invariance stated for the uncolored families")
     norm = d1_normalizer if spec.model is Model.UNCOLORED_REFLECTING else d2_normalizer
     moved_point = apply_word(spec.point, word)
     lhs = partition_function(spec.with_point(moved_point)) / norm(moved_point, spec.L)
     rhs = partition_function(spec) / norm(spec.point, spec.L)
-    return lhs == rhs
+    return lhs, rhs
+
+
+def check_weyl_invariance(spec: LatticeSpec, word) -> bool:
+    """Z/D is invariant under the Weyl word (D = D1 reflecting, D2 absorbing)."""
+    return _holds(weyl_invariance_sides(spec, word))
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +189,11 @@ def closed_form_opposite(spec: LatticeSpec) -> Fraction:
     return val * q ** exponent
 
 
+def closed_form_sides(spec: LatticeSpec) -> tuple:
+    """(closed_form_opposite, Z) for sigma(i) = -tau(i)."""
+    return closed_form_opposite(spec), partition_function(spec)
+
+
 # ---------------------------------------------------------------------------
 # Colored recursions
 # ---------------------------------------------------------------------------
@@ -193,8 +221,9 @@ def recursion_D(point: ParamPoint) -> Fraction:
     return (q * zn + zpn - (q + 1) * zn * zpn) / (q * (1 - zn * zpn))
 
 
-def check_recursion_si(spec: LatticeSpec, i: int) -> bool:
-    """Recursion along s_i, 1 <= i <= n-1, requiring sigma(i+1) > sigma(i).
+def recursion_si_sides(spec: LatticeSpec, i: int) -> tuple:
+    """Both sides of the recursion along s_i, 1 <= i <= n-1, requiring
+    sigma(i+1) > sigma(i).
 
     Signed family:  q^([sigma(i+1)>0] - [sigma(i)>0]) Z(sigma s_i; z)
                       = -A Z(sigma; z) + B Z(sigma; s_i z)
@@ -216,11 +245,17 @@ def check_recursion_si(spec: LatticeSpec, i: int) -> bool:
     rhs = (-recursion_A(spec.point, i) * partition_function(spec)
            + recursion_B(spec.point, i)
            * partition_function(spec.with_point(spec.point.swap_z(i, i + 1))))
-    return lhs == rhs
+    return lhs, rhs
 
 
-def check_recursion_sn(spec: LatticeSpec) -> bool:
-    """Recursion along s_n for the signed family, requiring sigma(n) > 0:
+def check_recursion_si(spec: LatticeSpec, i: int) -> bool:
+    """The recursion along s_i holds (see ``recursion_si_sides``)."""
+    return _holds(recursion_si_sides(spec, i))
+
+
+def recursion_sn_sides(spec: LatticeSpec) -> tuple:
+    """Both sides of the recursion along s_n for the signed family,
+    requiring sigma(n) > 0:
 
         (q/z_n)^L Z(sigma s_n; z) = C z_n^{-L} Z(sigma; z)
                                     - D z_n'^L Z(sigma; s_n z).
@@ -240,7 +275,12 @@ def check_recursion_sn(spec: LatticeSpec) -> bool:
     moved = spec.with_point(apply_generator(point, spec.n))
     rhs = (recursion_C(point) * zn ** (-L) * partition_function(spec)
            - recursion_D(point) * zpn ** L * partition_function(moved))
-    return lhs == rhs
+    return lhs, rhs
+
+
+def check_recursion_sn(spec: LatticeSpec) -> bool:
+    """The recursion along s_n holds (see ``recursion_sn_sides``)."""
+    return _holds(recursion_sn_sides(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +384,8 @@ def ztilde(spec: LatticeSpec, u) -> Fraction:
     return partition_function(spec.with_point(point)) * q ** exponent / denom
 
 
-def check_dl_recursion(spec: LatticeSpec, i: int) -> bool:
-    """Operator form of the recursions, checked at the spec's own point:
+def dl_recursion_sides(spec: LatticeSpec, i: int) -> tuple:
+    """Both sides of the operator form of the recursions at the spec's own point:
 
         Ztilde(sigma s_i; u) = Lhat_{i,q}(Ztilde(sigma; .))(u)   (i < n)
         Ztilde(sigma s_n; u) = -L_{n,q}(Ztilde(sigma; .))(u)
@@ -368,22 +408,32 @@ def check_dl_recursion(spec: LatticeSpec, i: int) -> bool:
         rhs = dl_apply("Lhat", i, upoint, f)
     else:
         rhs = -dl_apply("L", i, upoint, f)
-    return lhs == rhs
+    return lhs, rhs
 
 
-def u_coefficient_identities(point: ParamPoint) -> bool:
-    """A, B, C, D in u variables:
+def check_dl_recursion(spec: LatticeSpec, i: int) -> bool:
+    """The operator form of the recursions holds (see ``dl_recursion_sides``)."""
+    return _holds(dl_recursion_sides(spec, i))
+
+
+def u_coefficient_sides(point: ParamPoint) -> list:
+    """(name, coefficient, its u form) for A, B, C, D in u variables:
 
         A = (q-1) u_i / (u_i - u_{i+1})      B = (q u_i - u_{i+1}) / (u_i - u_{i+1})
         C = (1-q) / (q (1 - u_n^2))          D = (1 - q u_n^2) / (q (1 - u_n^2))
     """
     q = point.q
     u = u_from_z(point)
-    ok = True
+    sides = []
     for i in range(1, point.n):
-        ok &= recursion_A(point, i) == (q - 1) * u[i - 1] / (u[i - 1] - u[i])
-        ok &= recursion_B(point, i) == (q * u[i - 1] - u[i]) / (u[i - 1] - u[i])
+        sides.append((f"A_{i}", recursion_A(point, i), (q - 1) * u[i - 1] / (u[i - 1] - u[i])))
+        sides.append((f"B_{i}", recursion_B(point, i), (q * u[i - 1] - u[i]) / (u[i - 1] - u[i])))
     un2 = u[-1] ** 2
-    ok &= recursion_C(point) == (1 - q) / (q * (1 - un2))
-    ok &= recursion_D(point) == (1 - q * un2) / (q * (1 - un2))
-    return bool(ok)
+    sides.append(("C", recursion_C(point), (1 - q) / (q * (1 - un2))))
+    sides.append(("D", recursion_D(point), (1 - q * un2) / (q * (1 - un2))))
+    return sides
+
+
+def u_coefficient_identities(point: ParamPoint) -> bool:
+    """Every identity of ``u_coefficient_sides`` holds."""
+    return all(lhs == rhs for _, lhs, rhs in u_coefficient_sides(point))

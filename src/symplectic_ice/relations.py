@@ -34,7 +34,7 @@ class RelationReport:
     relation: str
     points_tested: int = 0
     combos_tested: int = 0
-    failures: list = field(default_factory=list)   # (point, boundary, lhs, rhs)
+    failures: list = field(default_factory=list)   # (point, boundary or case, lhs, rhs)
 
     @property
     def passed(self) -> bool:

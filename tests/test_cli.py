@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from symplectic_ice import acceptance, cli
 from symplectic_ice import diagram as dg
 from symplectic_ice import dynamics, weights
+from symplectic_ice import functional as fn
 from symplectic_ice.lattice import all_signed_permutations
 from symplectic_ice.weights import Family
 
@@ -106,6 +107,21 @@ def test_verify_corrupted_preset_exits_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--relation", "ybe-gg", "--points", "2")
     assert code == 1
     assert "FAIL" in out and "counterexample" in out
+
+
+def test_verify_false_global_law_reports_case_and_sides(capsys, monkeypatch):
+    monkeypatch.setattr(fn, "interchange_sides", lambda spec: (F(1, 3), F(-2)))
+    code, out, _ = run(capsys, "verify", "--relation", "interchange-absorbing",
+                       "--points", "1", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    payload.pop("config")
+    jsonschema.validate(payload, load_schema("relation_report.schema.json"))
+    failure, = payload["failures"]
+    assert failure["case"] == "lambda=(2, 0)"
+    assert (failure["lhs"], failure["rhs"]) == ("1/3", "-2")
+    code, out, _ = run(capsys, "verify", "--relation", "interchange-absorbing", "--points", "1")
+    assert code == 1 and "counterexample: case=lambda=(2, 0) lhs=1/3 rhs=-2" in out
 
 
 def test_verify_parallel_jobs_match_serial(capsys):

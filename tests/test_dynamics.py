@@ -1,7 +1,9 @@
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+from symplectic_ice import dynamics
 from symplectic_ice.dynamics import (ESCAPE, POOLED, Sampler, SamplerConfig,
                                      SamplerSoundnessError, SampleSummary,
                                      compare_empirical_to_exact,
@@ -122,6 +124,81 @@ class TestSampler:
         summary = run_sampler(SamplerConfig(reflecting_spec(), 2, 2000))
         assert summary.escape_count > 0
         assert summary.histogram.get(ESCAPE, 0) == summary.escape_count
+
+
+class TestBatch:
+    """The batched sweep of ``run_sampler`` against the scalar ``Sampler``."""
+
+    WORDS = (0, 1, 2**63, 2**64 - 1)
+
+    @staticmethod
+    def scalar_summary(config):
+        sampler = Sampler(config)
+        summary = SampleSummary(config.num_samples)
+        for index in range(config.num_samples):
+            summary.record(sampler.sample(index))
+        return summary
+
+    @staticmethod
+    def spec(model, n):
+        point = ParamPoint(tuple(F(3, 4) + F(k, 50) for k in range(n)), F(1, 2))
+        sig = SignedPermutation.identity(n) if model.colored else None
+        lam = Partition(()) if model is UA else Partition((0,) * n)
+        return LatticeSpec(model, n, n + 2, lam, point, sig, sig)
+
+    @pytest.mark.parametrize("model", [UR, UA, CS, CP])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_batch_equals_scalar_loop(self, model, n, monkeypatch):
+        # a chunk of 64 samples puts N = 65 and N = 300 across chunk
+        # boundaries; seeds -1 and 2**64 + 5 are masked to 64 bits
+        monkeypatch.setattr(dynamics, "_CHUNK", 64)
+        spec = self.spec(model, n)
+        for seed in (0, 11, -1, 2**64 + 5):
+            for num in (1, 65, 300):
+                config = SamplerConfig(spec, seed, num)
+                batch, scalar = run_sampler(config), self.scalar_summary(config)
+                assert list(batch.histogram.items()) == list(scalar.histogram.items())
+                assert batch.escape_count == scalar.escape_count
+
+    def test_batch_across_a_real_chunk(self, monkeypatch):
+        config = SamplerConfig(reflecting_spec(1, 2), 3, dynamics._CHUNK + 1)
+        scalar = self.scalar_summary(config)
+        monkeypatch.setattr(dynamics.Sampler, "sample", None)   # the batch never calls it
+        batch = run_sampler(config)
+        assert list(batch.histogram.items()) == list(scalar.histogram.items())
+        assert batch.escape_count == scalar.escape_count
+
+    def test_array_hash_equals_mix64(self):
+        words = np.array(self.WORDS, dtype=np.uint64)
+        for seed in self.WORDS + (-1, 2**64 + 5):
+            by_index = dynamics._mix_round(dynamics._seed_round(seed), words)
+            for r in self.WORDS:
+                by_row = dynamics._mix_round(by_index, np.uint64(r))
+                for c in self.WORDS:
+                    got = dynamics._mix_round(by_row, np.uint64(c)).tolist()
+                    assert got == [mix64(seed, index, r, c) for index in self.WORDS]
+
+    def test_pick_equals_scalar_loop(self):
+        top = 2**64
+        index = {0: 0, -1: 1}
+        pairs = [(0, 0), (-1, -1), (0, -1), (-1, 0)]
+        conditional = {
+            (0, 0): (pairs[:3], [0, 2**63, top]),       # leading zero weight
+            (0, -1): (pairs[:3], [2**63, top, top]),    # a non-final 2^64
+            (-1, 0): (pairs, [1, 2**63, top - 1, top]),
+            (-1, -1): (pairs[:1], [top]),               # padded slots
+        }
+        limits, outs, bottoms, K = dynamics._pack_row(conditional, index)
+        us = (0, 1, 2**63 - 1, 2**63, top - 2, top - 1)
+        for (cur, top_label), (entries, thresholds) in conditional.items():
+            key = index[cur] * len(index) + index[top_label]
+            keys = np.full(len(us), key, dtype=np.intp)
+            slots = key * K + dynamics._pick(limits, keys, np.array(us, dtype=np.uint64))
+            for u, slot in zip(us, slots):
+                k = 0
+                while u >= thresholds[k]:
+                    k += 1
+                assert (outs[slot], bottoms[slot]) == tuple(index[label] for label in entries[k])
 
 
 class TestExactness:
