@@ -2,7 +2,9 @@
 sampling, rendering, and the full acceptance suite.
 
 Exit codes: 0 = pass, 1 = an identity or statistical check failed (a
-counterexample is printed), 2 = invalid flags or specification.
+counterexample is printed), 2 = invalid flags or specification, 3 = an
+internal error (any other exception, printed as one 'internal error:'
+line).
 
 ``verify`` holds no relation of its own: its ``--relation`` choices are
 the ids of ``acceptance.RELATIONS``, and point k of a run is that
@@ -305,15 +307,16 @@ def _load_config_flags(path: str) -> list:
     return tokens
 
 
-def _spec_flags(p, need_lambda=True):
+def _spec_flags(p, fixed_bottom=True):
+    """Spec flags; the bottom boundary (--lambda, --tau) only where it is fixed."""
     p.add_argument("--model", required=True, choices=sorted(MODEL_NAMES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
-    if need_lambda:
+    p.add_argument("--sigma", default="", help="signed permutation images, e.g. 1,-2")
+    if fixed_bottom:
         p.add_argument("--lambda", dest="lam", default="", metavar="PARTS",
                        help="comma-separated partition parts, e.g. 2,1 (empty allowed)")
-    p.add_argument("--sigma", default="", help="signed permutation images, e.g. 1,-2")
-    p.add_argument("--tau", default="", help="signed permutation images")
+        p.add_argument("--tau", default="", help="signed permutation images")
     p.add_argument("--z", required=True, help="spectral parameters, e.g. 1/2,1/3")
     p.add_argument("--q", required=True, help="deformation parameter, e.g. 2 or 1/2")
 
@@ -342,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("sample", help="Monte Carlo sampling plus exact statistics")
-    _spec_flags(p, need_lambda=False)
+    _spec_flags(p, fixed_bottom=False)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
     p.add_argument("--trajectories", metavar="PATH",
@@ -387,6 +390,9 @@ def main(argv=None) -> int:
     except (SpecError, UsageError, DomainError, SamplingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -15,23 +15,23 @@ leaving the system past column L; such samples are first-class outcomes
 binned under ``escape``, not errors.
 
 Randomness is a counter-based generator: each vertex decision consumes one
-64-bit word ``mix64(seed, sample_index, row, column)`` (a splitmix64-style
-chain), so samples are independent of iteration order, reproducible, and
-trivially parallel.  Cumulative weights are compared against the drawn
-word through integer thresholds ceil(c * 2^64); the 2^-64 quantization is
-far below every statistical tolerance used here.  The conditional laws
-are the rows of ``lattice.row_weight_tables``.
+64-bit word, ``mix64`` of (seed, sample_index, row, column) (a
+splitmix64-style chain), so samples are independent of iteration order,
+reproducible, and trivially parallel.  Cumulative weights are compared
+against the drawn word through integer thresholds ceil(c * 2^64); the
+2^-64 quantization is far below every statistical tolerance used here.
+The conditional laws are the rows of ``lattice.row_weight_tables``.
 
-``run_sampler`` draws the histogram by a batched sweep: numpy arrays
-indexed by sample carry the same sweep for up to ``_CHUNK`` samples at
-once, the hash chain split so that only its column round runs per vertex,
-and the outcome of each sample read off its bottom word alone.  Because
-the generator is counter-based, the batch draws exactly the words the
-scalar sweep draws, so its summary is identical, not approximately equal.
-The scalar ``Sampler`` builds one ``Configuration`` per sample; it serves
-per-sample export (``run_sampler`` with an ``each`` hook, as ``sample
---trajectories`` uses), ``sample_configuration``, and is the oracle the
-batch is tested against.
+``Sampler`` is the one sweep: numpy arrays indexed by sample carry it for
+up to ``_CHUNK`` samples at once, the hash chain split so that only its
+column round runs per vertex, and every vertex writes its outputs into
+the chunk's edge arrays.  The histogram of ``run_sampler`` is read off
+their bottom row and each Delta row's last output; the per-sample
+``Configuration`` of ``sample_configuration``, ``Sampler.sample`` and the
+``each`` hook of ``run_sampler`` (which ``sample --trajectories`` uses)
+is read off the same arrays.  Because the generator is counter-based, the
+sweep draws exactly the words a per-vertex loop over ``mix64`` would
+draw; the tests keep such a loop as the oracle.
 
 ``exact_outcome_probabilities`` is the exact law of the bottom outcome
 in one pass: a row transfer from the top over the words of vertical
@@ -92,6 +92,8 @@ class SamplerConfig:
     def __post_init__(self):
         if not in_stochastic_regime(self.spec.point):
             raise ValueError("sampler requires a point in the stochastic regime")
+        if self.num_samples < 1:
+            raise ValueError(f"sampler needs at least 1 sample, got {self.num_samples}")
 
 
 def _by_right_input(table: dict) -> dict:
@@ -138,77 +140,11 @@ class SampleOutcome:
     key: object   # ESCAPE, or (lambda parts, colors-or-None)
 
 
-class Sampler:
-    """Reusable sampler for one spec (precomputes conditional tables)."""
-
-    def __init__(self, config: SamplerConfig):
-        self.config = config
-        self.spec = config.spec
-        self.tables = _conditional_tables(self.spec)
-        self.bnd = boundary_assignment(self.spec)
-
-    def sample(self, index: int) -> SampleOutcome:
-        """Deterministic function of (seed, index)."""
-        spec, bnd = self.spec, self.bnd
-        n2, L = 2 * spec.n, spec.L
-        seed = self.config.seed
-        vert = [[None] * L for _ in range(n2 + 1)]
-        hor = [[None] * (L + 1) for _ in range(n2 + 1)]
-        vert[n2] = list(bnd.top)
-        escaped = False
-        for i in range(spec.n, 0, -1):
-            r = 2 * i
-            table = self.tables[r - 1]
-            cur = bnd.left[r - 1]
-            hor[r][L] = cur
-            for c in range(L, 0, -1):
-                u = mix64(seed, index, r, c)
-                outs, thresholds = table[(cur, vert[r][c - 1])]
-                k = 0
-                while u >= thresholds[k]:
-                    k += 1
-                right, bottom = outs[k]
-                hor[r][c - 1] = right
-                vert[r - 1][c - 1] = bottom
-                cur = right
-            r = 2 * i - 1
-            table = self.tables[r - 1]
-            cur = cap_map(spec.model, cur)
-            hor[r][0] = cur
-            for c in range(1, L + 1):
-                u = mix64(seed, index, r, c)
-                outs, thresholds = table[(cur, vert[r][c - 1])]
-                k = 0
-                while u >= thresholds[k]:
-                    k += 1
-                left, bottom = outs[k]
-                hor[r][c] = left
-                vert[r - 1][c - 1] = bottom
-                cur = left
-            if cur != 0:
-                escaped = True
-        config = Configuration(spec.model, spec.n, L,
-                               tuple(tuple(row) for row in vert),
-                               tuple(tuple(row) for row in hor))
-        key = ESCAPE if escaped else bottom_outcome(config)
-        return SampleOutcome(config, escaped, key)
-
-
-def sample_configuration(config: SamplerConfig, index: int) -> SampleOutcome:
-    """One seeded sample; see Sampler for the sweep description."""
-    return Sampler(config).sample(index)
-
-
 @dataclass
 class SampleSummary:
     num_samples: int
     histogram: dict = field(default_factory=dict)   # key -> count
     escape_count: int = 0
-
-    def record(self, outcome: SampleOutcome):
-        if outcome.escaped:
-            self.escape_count += 1
-        self.histogram[outcome.key] = self.histogram.get(outcome.key, 0) + 1
 
     def check(self):
         counted = sum(self.histogram.values())
@@ -217,36 +153,13 @@ class SampleSummary:
                 f"histogram counts {counted} samples, expected {self.num_samples}")
 
 
-def run_sampler(config: SamplerConfig, each=None) -> SampleSummary:
-    """SampleSummary over num_samples draws; pure in (spec, seed, num_samples).
-
-    ``each``, if given, is called as ``each(index, outcome)`` on every
-    sample in index order, so a caller can export samples without drawing
-    them a second time; those samples come from the scalar ``Sampler``.
-    Without it the samples are drawn by the batched sweep, whose summary
-    is identical to the scalar one.
-    """
-    summary = SampleSummary(config.num_samples)
-    if each is None:
-        batch = _BatchSampler(config)
-        for start in range(0, config.num_samples, _CHUNK):
-            batch.record(summary, start, min(start + _CHUNK, config.num_samples))
-    else:
-        sampler = Sampler(config)
-        for index in range(config.num_samples):
-            outcome = sampler.sample(index)
-            summary.record(outcome)
-            each(index, outcome)
-    summary.check()
-    return summary
-
-
 # ---------------------------------------------------------------------------
-# The batched sweep
+# The sweep
 # ---------------------------------------------------------------------------
 
-#: Samples swept together by ``_BatchSampler``; bounds its working memory
-#: (a few integer arrays of L x _CHUNK) whatever the number of samples.
+#: Samples swept together; bounds the sampler's working memory (the edge
+#: arrays of a chunk and a few integer arrays of L x _CHUNK) whatever the
+#: number of samples.
 _CHUNK = 1 << 14
 
 _U64 = np.uint64
@@ -277,14 +190,14 @@ def _pack_row(conditional: dict, index: dict):
     The inputs (cur, top) become the key ``index[cur] * A + index[top]``
     (A letters).  Slot k of a key holds its k-th output in
     ``outs[key * K + k]`` and ``bottoms[key * K + k]`` and, for k < K - 1,
-    its threshold minus 1 in ``limits[k][key]``, so the scalar sweep's
+    its threshold minus 1 in ``limits[k][key]``, so the draw's
     ``u >= threshold`` is ``u > limit``.  Outputs of threshold 0 are
-    left out (the scalar sweep always steps past them), so every stored
-    threshold is at least 1.  The last threshold of a key is 2^64 (its
-    row sums to 1), which no word reaches, so it is not stored; a
-    threshold of 2^64 before it and every padding slot hold 2^64 - 1,
-    which no word exceeds.  Counting the thresholds <= u gives the scalar
-    loop's index only if they rise, so a falling one is an error.
+    left out (no word falls below them), so every stored threshold is at
+    least 1.  The last threshold of a key is 2^64 (its row sums to 1),
+    which no word reaches, so it is not stored; a threshold of 2^64 before
+    it and every padding slot hold 2^64 - 1, which no word exceeds.
+    Counting the thresholds <= u gives the drawn output only if they rise,
+    so a falling one is an error.
     """
     A = len(index)
     if len(conditional) != A * A:
@@ -309,73 +222,88 @@ def _pack_row(conditional: dict, index: dict):
 def _pick(limits, keys, u):
     """Slot drawn by each word: how many stored thresholds of its key are
     <= u.  A key's thresholds rise (``_pack_row`` checks it), so this slot
-    holds the output the scalar ``while u >= thresholds[k]`` loop stops at."""
+    holds the first output whose threshold exceeds u."""
     k = np.zeros(u.shape, dtype=np.intp)
     for limit in limits:
         k += u > limit[keys]
     return k
 
 
-class _BatchSampler:
-    """``Sampler.sample`` swept over a range of sample indices at once.
+class Sampler:
+    """The seeded sampler of one spec: one sweep over sample indices.
 
-    Labels are handled as their indices in the spec's alphabet, and the
-    state of a sample is the word of vertical labels below the last row
-    swept plus the carried horizontal label.  Each vertex reads the word
-    ``mix64(seed, index, row, column)`` of every sample: the seed round
-    runs once, the index round once per chunk, the row round once per row
-    and only the column round per vertex, so every word and every step
-    equals the scalar sweep's.
+    Labels are handled as their indices in the spec's alphabet.  A chunk
+    of m samples is swept row by row from the top, and every vertex writes
+    its outputs into the chunk's edge arrays, ``vert`` of shape
+    (2n+1, L, m) and ``hor`` of shape (2n+1, L+1, m), indexed like
+    ``Configuration`` (row 0 of ``hor`` is unused).  Each vertex reads the
+    ``mix64`` word of (seed, index, row, column) of every sample: the seed
+    round runs once, the index round once per chunk, the row round once
+    per row and only the column round per vertex.
     """
 
     def __init__(self, config: SamplerConfig):
         spec = config.spec
         self.spec = spec
         self.letters = np.array(spec.alphabet)
+        self.dtype = np.min_scalar_type(len(spec.alphabet) - 1)
         index = {label: i for i, label in enumerate(spec.alphabet)}
         self.rows = [_pack_row(table, index) for table in _conditional_tables(spec)]
         bnd = boundary_assignment(spec)
         self.left = [index[label] for label in bnd.left]
-        self.top = np.array([index[label] for label in bnd.top], dtype=np.intp)
+        self.top = np.array([index[label] for label in bnd.top], dtype=self.dtype)
         self.cap = np.array([index[cap_map(spec.model, label)] for label in spec.alphabet],
                             dtype=np.intp)
         self.empty = index[0]
         self.columns = np.arange(1, spec.L + 1, dtype=np.uint64)[:, None]
         self.seed_hash = _seed_round(config.seed)
 
-    def _sweep_row(self, r, cur, word, h_index):
-        """Sweep row r from the carried labels ``cur``, rewriting ``word``
-        (index c-1 for column c) in place; returns the row's last output."""
+    def _sweep_row(self, r, vert, hor, h_index):
+        """Sweep row r of a chunk, reading ``vert[r]`` and writing
+        ``vert[r - 1]`` and ``hor[r]``.  A Gamma row (even r) runs from
+        column L down to 1 from its left boundary label, a Delta row from
+        column 1 up to L from the cap's image of the Gamma row's output."""
         limits, outs, bottoms, K = self.rows[r - 1]
-        A = len(self.letters)
+        A, L = len(self.letters), self.spec.L
         u = _mix_round(_mix_round(h_index, _U64(r)), self.columns)
-        L = self.spec.L
-        for c in (range(L, 0, -1) if r % 2 == 0 else range(1, L + 1)):
-            keys = cur * A + word[c - 1]
+        gamma = r % 2 == 0
+        if gamma:
+            hor[r, L] = self.left[r - 1]
+        else:
+            hor[r, 0] = self.cap[hor[r + 1, 0]]
+        cur = hor[r, L if gamma else 0].astype(np.intp)
+        for c in (range(L, 0, -1) if gamma else range(1, L + 1)):
+            keys = cur * A + vert[r, c - 1]
             slot = keys * K + _pick(limits, keys, u[c - 1])
             cur = outs[slot]
-            word[c - 1] = bottoms[slot]
-        return cur
+            hor[r, c - 1 if gamma else c] = cur
+            vert[r - 1, c - 1] = bottoms[slot]
 
-    def draw(self, start: int, stop: int):
-        """(bottom word, escaped) of samples start..stop-1: the bottom
-        labels as indices, shape (L, samples), and a boolean per sample."""
-        h_index = _mix_round(self.seed_hash, np.arange(start, stop, dtype=np.uint64))
-        word = np.repeat(self.top[:, None], stop - start, axis=1)
-        escaped = np.zeros(stop - start, dtype=bool)
-        for i in range(self.spec.n, 0, -1):
-            cur = np.full(stop - start, self.left[2 * i - 1], dtype=np.intp)
-            cur = self._sweep_row(2 * i, cur, word, h_index)
-            cur = self._sweep_row(2 * i - 1, self.cap[cur], word, h_index)
-            escaped |= cur != self.empty
-        return word, escaped
+    def sweep(self, start: int, stop: int):
+        """Yield ``(first index, vert, hor)`` for samples start..stop-1,
+        in chunks of at most ``_CHUNK`` samples."""
+        n, L = self.spec.n, self.spec.L
+        for lo in range(start, stop, _CHUNK):
+            hi = min(lo + _CHUNK, stop)
+            h_index = _mix_round(self.seed_hash, np.arange(lo, hi, dtype=np.uint64))
+            vert = np.empty((2 * n + 1, L, hi - lo), dtype=self.dtype)
+            hor = np.zeros((2 * n + 1, L + 1, hi - lo), dtype=self.dtype)
+            vert[2 * n] = self.top[:, None]
+            for r in range(2 * n, 0, -1):
+                self._sweep_row(r, vert, hor, h_index)
+            yield lo, vert, hor
 
-    def record(self, summary: SampleSummary, start: int, stop: int):
-        """Add samples start..stop-1 to the summary, keys in the order of
-        their first sample, as ``SampleSummary.record`` would add them."""
-        word, escaped = self.draw(start, stop)
+    def _escaped(self, hor):
+        """Per sample: whether some Delta row's last output, past column L,
+        carries a particle."""
+        return (hor[1::2, self.spec.L] != self.empty).any(axis=0)
+
+    def record(self, summary: SampleSummary, vert, hor):
+        """Add a chunk's samples to the summary, each keyed by its bottom
+        row (or ESCAPE), keys in the order of their first sample."""
+        escaped = self._escaped(hor)
         kept = np.flatnonzero(~escaped)
-        rows, first, counts = np.unique(word[:, kept].T, axis=0,
+        rows, first, counts = np.unique(vert[0][:, kept].T, axis=0,
                                         return_index=True, return_counts=True)
         found = [(kept[f], bottom_row_outcome(self.spec.model, self.letters[row].tolist()), n)
                  for row, f, n in zip(rows, first, counts)]
@@ -385,6 +313,51 @@ class _BatchSampler:
             summary.escape_count += int(escapes.size)
         for _, key, count in sorted(found, key=lambda entry: entry[0]):
             summary.histogram[key] = summary.histogram.get(key, 0) + int(count)
+
+    def _outcomes(self, vert, hor):
+        """A chunk's samples one at a time, labels as Python ints."""
+        spec = self.spec
+        unused = ((None,) * (spec.L + 1),)
+        for j, escaped in enumerate(self._escaped(hor).tolist()):
+            config = Configuration(
+                spec.model, spec.n, spec.L,
+                tuple(map(tuple, self.letters[vert[:, :, j]].tolist())),
+                unused + tuple(map(tuple, self.letters[hor[1:, :, j]].tolist())))
+            yield SampleOutcome(config, escaped, ESCAPE if escaped else bottom_outcome(config))
+
+    def outcomes(self, start: int, stop: int):
+        """Yield the ``SampleOutcome`` of samples start..stop-1 in index order."""
+        for _, vert, hor in self.sweep(start, stop):
+            yield from self._outcomes(vert, hor)
+
+    def sample(self, index: int) -> SampleOutcome:
+        """Deterministic function of (seed, index)."""
+        return next(self.outcomes(index, index + 1))
+
+
+def sample_configuration(config: SamplerConfig, index: int) -> SampleOutcome:
+    """One seeded sample; see Sampler for the sweep description."""
+    return Sampler(config).sample(index)
+
+
+def run_sampler(config: SamplerConfig, each=None) -> SampleSummary:
+    """SampleSummary over num_samples draws; pure in (spec, seed, num_samples).
+
+    ``each``, if given, is called as ``each(index, outcome)`` on every
+    sample in index order, so a caller can export samples without drawing
+    them a second time.  Hook or not, the samples come from the same
+    chunks of ``Sampler.sweep``: the summary is read off each chunk's edge
+    arrays, and so are the outcomes handed to ``each``.
+    """
+    sampler = Sampler(config)
+    summary = SampleSummary(config.num_samples)
+    for start, vert, hor in sampler.sweep(0, config.num_samples):
+        sampler.record(summary, vert, hor)
+        if each is not None:
+            for index, outcome in enumerate(sampler._outcomes(vert, hor), start):
+                each(index, outcome)
+    summary.check()
+    return summary
 
 
 # ---------------------------------------------------------------------------

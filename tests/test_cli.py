@@ -17,6 +17,8 @@ from symplectic_ice import functional as fn
 from symplectic_ice.lattice import all_signed_permutations
 from symplectic_ice.weights import Family
 
+from scalar_sampler import scalar_run
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -171,26 +173,69 @@ def test_sample_trajectories_jsonl(tmp_path, capsys):
 
 
 def test_sample_trajectories_draw_each_sample_once(tmp_path, capsys, monkeypatch):
-    calls = []
-    true_sample = dynamics.Sampler.sample
+    covered = []
+    true_sweep = dynamics.Sampler.sweep
 
-    def counted(self, index):
-        calls.append(index)
-        return true_sample(self, index)
+    def recorded(self, start, stop):
+        for first, vert, hor in true_sweep(self, start, stop):
+            covered.extend(range(first, first + vert.shape[-1]))
+            yield first, vert, hor
 
-    monkeypatch.setattr(dynamics.Sampler, "sample", counted)
+    monkeypatch.setattr(dynamics.Sampler, "sweep", recorded)
     path = tmp_path / "traj.jsonl"
     code, out, _ = run(capsys, "sample", "--model", "signed", "--n", "1", "--L", "2",
                        "--z", "3/4", "--q", "1/2", "--sigma", "1", "--samples", "40",
                        "--seed", "4", "--trajectories", str(path), "--json")
     assert code == 0
-    assert calls == list(range(40))
+    assert covered == list(range(40))
     # the file and the histogram are those of the scalar sampler at this seed
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "f4df23be6188fbc26111986e7861bfa48f4dc2dcee82702363839b5713f7777a"
     histogram = json.loads(out)["histogram"]
     outcomes = [json.loads(line)["outcome"] for line in path.read_text().splitlines()]
     assert histogram == {k: outcomes.count(k) for k in set(outcomes)}
+
+
+@pytest.mark.parametrize("model", sorted(cli.MODEL_NAMES))
+@pytest.mark.parametrize("n", [1, 2])
+def test_sample_exports_equal_scalar_oracle(tmp_path, capsys, monkeypatch, model, n):
+    # 40 samples in chunks of 16: the trajectory file and the JSON output
+    # are those the scalar oracle writes through the same CLI
+    monkeypatch.setattr(dynamics, "_CHUNK", 16)
+    path = tmp_path / "traj.jsonl"
+    argv = ["sample", "--model", model, "--n", str(n), "--L", str(n + 2),
+            "--z", ",".join(["3/4", "4/5"][:n]), "--q", "1/2", "--samples", "40",
+            "--seed", "6", "--trajectories", str(path), "--json"]
+    sigma = {"signed": ("-1", "2,-1"), "positive": ("1", "2,1")}
+    if model in sigma:
+        argv.append(f"--sigma={sigma[model][n - 1]}")
+    exports = []
+    for sampler in (dynamics.run_sampler, scalar_run):
+        monkeypatch.setattr(cli, "run_sampler", sampler)
+        code, out, err = run(capsys, *argv)
+        exports.append((code, out, err, path.read_bytes()))
+    assert exports[0] == exports[1]
+    assert exports[0][3].count(b"\n") == 40
+
+
+def test_sample_rejects_tau():
+    # the sampler's bottom boundary is free, so a --tau would be ignored
+    code, err = exit_code_and_stderr(["sample", "--model", "signed", "--n", "1", "--L", "3",
+                                      "--sigma", "1", "--z", "3/4", "--q", "1/2", "--seed", "3",
+                                      "--samples", "200", "--tau", "1"])
+    assert code == 2 and "--tau" in err
+
+
+def test_internal_error_exits_three(capsys, monkeypatch):
+    def broken(spec):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(cli, "exact_outcome_probabilities", broken)
+    code, _, err = run(capsys, "sample", "--model", "reflecting", "--n", "1", "--L", "2",
+                       "--z", "3/4", "--q", "1/2", "--samples", "10")
+    assert code == 3
+    assert err.splitlines() == ["internal error: RuntimeError: injected fault"]
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

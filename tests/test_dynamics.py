@@ -17,6 +17,8 @@ from symplectic_ice.lattice import (LatticeSpec, Partition, SignedPermutation,
 from symplectic_ice.rationals import ParamPoint
 from symplectic_ice.weights import Model
 
+from scalar_sampler import ScalarSampler, scalar_run
+
 UR, UA = Model.UNCOLORED_REFLECTING, Model.UNCOLORED_ABSORBING
 CS, CP = Model.COLORED_SIGNED, Model.COLORED_POSITIVE
 
@@ -47,6 +49,11 @@ class TestSampler:
         bad = LatticeSpec(UR, 1, 2, Partition((0,)), ParamPoint((F(3, 4),), F(2)))
         with pytest.raises(ValueError):
             SamplerConfig(bad, 1, 10)
+
+    @pytest.mark.parametrize("num", [0, -5])
+    def test_sample_count_required(self, num):
+        with pytest.raises(ValueError, match="at least 1 sample"):
+            SamplerConfig(reflecting_spec(), 1, num)
 
     def test_reproducibility(self):
         cfg = SamplerConfig(reflecting_spec(), seed=5, num_samples=500)
@@ -127,17 +134,10 @@ class TestSampler:
 
 
 class TestBatch:
-    """The batched sweep of ``run_sampler`` against the scalar ``Sampler``."""
+    """The batched sweep of ``Sampler`` against the scalar oracle of
+    ``scalar_sampler``, which calls ``mix64`` once per vertex."""
 
     WORDS = (0, 1, 2**63, 2**64 - 1)
-
-    @staticmethod
-    def scalar_summary(config):
-        sampler = Sampler(config)
-        summary = SampleSummary(config.num_samples)
-        for index in range(config.num_samples):
-            summary.record(sampler.sample(index))
-        return summary
 
     @staticmethod
     def spec(model, n):
@@ -156,17 +156,35 @@ class TestBatch:
         for seed in (0, 11, -1, 2**64 + 5):
             for num in (1, 65, 300):
                 config = SamplerConfig(spec, seed, num)
-                batch, scalar = run_sampler(config), self.scalar_summary(config)
+                batch, scalar = run_sampler(config), scalar_run(config)
                 assert list(batch.histogram.items()) == list(scalar.histogram.items())
                 assert batch.escape_count == scalar.escape_count
 
     def test_batch_across_a_real_chunk(self, monkeypatch):
         config = SamplerConfig(reflecting_spec(1, 2), 3, dynamics._CHUNK + 1)
-        scalar = self.scalar_summary(config)
+        scalar = scalar_run(config)
         monkeypatch.setattr(dynamics.Sampler, "sample", None)   # the batch never calls it
         batch = run_sampler(config)
         assert list(batch.histogram.items()) == list(scalar.histogram.items())
         assert batch.escape_count == scalar.escape_count
+
+    @pytest.mark.parametrize("model", [UR, UA, CS, CP])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_samples_equal_scalar_oracle(self, model, n, monkeypatch):
+        # Sampler.sample sweeps one index; outcomes crosses chunks of 16
+        monkeypatch.setattr(dynamics, "_CHUNK", 16)
+        spec = self.spec(model, n)
+        for seed in (0, -1, 2**64 + 5):
+            config = SamplerConfig(spec, seed, 1)
+            sampler, oracle = Sampler(config), ScalarSampler(config)
+            expected = [oracle.sample(index) for index in range(40)]
+            assert [sampler.sample(index) for index in range(40)] == expected
+            got = list(sampler.outcomes(0, 40))
+            assert got == expected
+            state = got[-1].config
+            assert all(type(label) is int for row in state.vert + state.hor[1:] for label in row)
+            assert state.hor[0] == (None,) * (spec.L + 1)
+            assert all(type(out.escaped) is bool for out in got)
 
     def test_array_hash_equals_mix64(self):
         words = np.array(self.WORDS, dtype=np.uint64)
