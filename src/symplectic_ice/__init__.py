@@ -16,8 +16,8 @@ testing at random rational points with exact equality.
 from .rationals import (DomainError, ParamPoint, Rational, SamplingError,
                         in_stochastic_regime, rat, sample_point,
                         sample_regime_point, zprime)
-from .weights import (Family, Model, UsageError, admissible_pattern, alphabet,
-                      cap_map, cap_weight, stochastic_row_check, vertex_weight)
+from .weights import (Family, Model, UsageError, alphabet, cap_map, cap_weight,
+                      pattern_table, stochastic_row_check, vertex_weight)
 from .diagram import WiringDiagram, Node
 from .lattice import (Configuration, LatticeSpec, Partition, SignedPermutation,
                       SpecError, all_plain_permutations, all_signed_permutations,

@@ -270,11 +270,10 @@ def cmd_render(args) -> int:
     spec = _build_spec(args)
     states = list(enumerate_states(spec))
     if not states:
-        print("no admissible states for this boundary", file=sys.stderr)
-        return 2
+        raise UsageError("no admissible states for this boundary")
     if not 0 <= args.state_index < len(states):
-        print(f"state index out of range (have {len(states)} states)", file=sys.stderr)
-        return 2
+        raise UsageError(f"--state-index {args.state_index} out of range "
+                         f"(have {len(states)} states)")
     config, _ = states[args.state_index]
     sys.stdout.write(render_state(config, args.format))
     return 0

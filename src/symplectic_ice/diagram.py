@@ -5,7 +5,9 @@ family with parameters and 4 or 2 edge slots) wired together by internal
 edges, with the remaining slots exposed as numbered boundary stubs.  Its
 value at a boundary assignment is the sum over all labelings of the
 internal edges of the product of node weights -- exactly the partition
-functions appearing in the braid, cap and crossing relations.
+functions appearing in the braid, cap and crossing relations.  Node
+weights come from ``weights.pattern_table``: only a node's nonzero listed
+patterns are ever tried, since every other labeling weighs 0.
 
 This evaluator is for identity checking, not whole lattices: diagrams are
 capped at MAX_INTERNAL_EDGES internal edges.  Diagrams are immutable after
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .weights import Family, Model, alphabet, vertex_weight
+from .weights import Family, Model, alphabet, pattern_table
 
 MAX_INTERNAL_EDGES = 12
 
@@ -85,54 +87,59 @@ class WiringDiagram:
         return WiringDiagram(self.model, 1, self.nodes, self.edges,
                              self.boundary, letters=letters)
 
-    def _node_weight(self, node: Node, labels, q) -> Fraction:
-        return vertex_weight(self.model, node.family, labels, node.params, q)
-
     def evaluate(self, boundary_labels, q) -> Fraction:
         """Sum over internal labelings of the product of node weights."""
+        boundary_labels = tuple(boundary_labels)
         if len(boundary_labels) != len(self.boundary):
             raise DiagramError("boundary assignment has wrong length")
-        return self.evaluate_all(q, frozen=tuple(boundary_labels)).get(
-            tuple(boundary_labels), ZERO)
+        if any(label not in self.alphabet for label in boundary_labels):
+            raise DiagramError(f"boundary labels {boundary_labels} are not all "
+                               f"in the alphabet {self.alphabet}")
+        return self.evaluate_all(q, frozen=boundary_labels).get(boundary_labels, ZERO)
 
     def evaluate_all(self, q, frozen=None) -> dict:
         """Map from boundary tuple to value, for all admissible boundaries.
 
         With ``frozen`` set, only that single boundary assignment is
-        explored.  One depth-first sweep over the nodes enumerates every
-        labeling with nonzero weight at each node, so the full boundary
+        explored.  Each node's ``pattern_table`` is built once per call and
+        indexed by the labels the node shares with slots set before it
+        (frozen boundary stubs, edges to earlier nodes).  One depth-first
+        sweep over the nodes then walks only the nonzero listed patterns
+        that agree with the labels already set, so the full boundary
         tensor costs barely more than a single evaluation.
         """
         nb = len(self.boundary)
         labels = [None] * (nb + len(self.edges))
+        known = set()
         if frozen is not None:
-            labels[:nb] = list(frozen)
+            labels[:nb] = frozen
+            known.update(range(nb))
+        steps = []   # per node: (positions set before it, its free positions, index)
+        for i, node in enumerate(self.nodes):
+            positions = tuple(self._slot_pos[(i, s)] for s in range(node.nslots))
+            bound = [p for p in dict.fromkeys(positions) if p in known]
+            free = [p for p in dict.fromkeys(positions) if p not in known]
+            index: dict = {}
+            for edges, w in pattern_table(self.model, node.family, node.params, q,
+                                          self.alphabet).items():
+                at = dict(zip(positions, edges))   # two slots on one edge must agree
+                if w != 0 and tuple(at[p] for p in positions) == edges:
+                    index.setdefault(tuple(at[p] for p in bound), []).append(
+                        (tuple(at[p] for p in free), w))
+            steps.append((bound, free, index))
+            known.update(positions)
         out: dict = {}
-        letters = self.alphabet
-        nodes = self.nodes
-        slot_pos = self._slot_pos
 
         def visit(i: int, acc: Fraction):
-            if i == len(nodes):
+            if i == len(steps):
                 key = tuple(labels[:nb])
                 out[key] = out.get(key, ZERO) + acc
                 return
-            node = nodes[i]
-            positions = [slot_pos[(i, s)] for s in range(node.nslots)]
-            free = [p for p in positions if labels[p] is None]
-
-            def assign(k: int):
-                if k == len(free):
-                    w = self._node_weight(node, tuple(labels[p] for p in positions), q)
-                    if w != 0:
-                        visit(i + 1, acc * w)
-                    return
-                for letter in letters:
-                    labels[free[k]] = letter
-                    assign(k + 1)
-                labels[free[k]] = None
-
-            assign(0)
+            bound, free, index = steps[i]
+            for values, w in index.get(tuple(labels[p] for p in bound), ()):
+                for p, label in zip(free, values):
+                    labels[p] = label
+                visit(i + 1, acc * w)
 
         visit(0, ONE)
         return out

@@ -23,9 +23,9 @@ Internal storage uses 0-based column *indices* ``c-1`` for column ``c``:
 so the vertex in row r, column c reads
 ``(left, top, right, bottom) = (hor[r][c], vert[r][c-1], hor[r][c-1], vert[r-1][c-1])``.
 
-Weights are looked up, never recomputed: ``row_weight_tables`` evaluates
-every listed vertex pattern of each row once per spec, keyed by the
-vertex's sweep inputs (left, top).
+Weights are looked up, never recomputed: ``row_weight_tables`` reads each
+row's ``weights.pattern_table`` once per spec and keys it by the vertex's
+sweep inputs (left, top).
 
 There is one engine for ``Z``: ``partition_function`` is the sparse column
 transfer (``transfer_right_edge_weights``, columns L down to 1, each
@@ -48,8 +48,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .rationals import ParamPoint
-from .weights import (Family, Model, admissible_pattern, alphabet, cap_map,
-                      vertex_weight)
+from .weights import Family, Model, alphabet, cap_map, pattern_table
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -255,42 +254,24 @@ def _row_z(spec: LatticeSpec, r: int) -> Fraction:
     return spec.point.z[(r + 1) // 2 - 1]
 
 
-def _completions(fam: Family, left, top, letters):
-    """(right, bottom) candidates allowed by in/out conservation."""
-    if fam is Family.GAMMA:
-        if left == top:
-            return ((left, top),)
-        return ((left, top), (top, left))
-    # Delta: multiset {right, top} = {left, bottom}
-    if left == top:
-        return tuple((r, r) for r in letters)
-    return ((left, top),)
-
-
 def row_weight_tables(spec: LatticeSpec) -> tuple:
     """Exact weight of every listed vertex pattern, one table per row.
 
-    Entry ``r-1`` belongs to row r and maps the inputs (left, top) of a
-    vertex, for every pair of letters, to the tuple of its listed
-    completions ``(right, bottom, weight)`` in a fixed order.  Listed
-    patterns whose weight is 0 at a degenerate point are kept, so that
-    enumeration still counts their states; the transfer skips them.
+    Entry ``r-1`` belongs to row r: its ``pattern_table`` grouped by the
+    inputs (left, top) of a vertex, mapping every pair of letters to the
+    tuple of its listed completions ``(right, bottom, weight)`` in table
+    order.  Listed patterns whose weight is 0 at a degenerate point are
+    kept, so that enumeration still counts their states; the transfer
+    skips them.
     """
-    letters = spec.alphabet
     q = spec.point.q
     tables = []
     for r in range(1, 2 * spec.n + 1):
-        fam = _row_family(r)
-        z = _row_z(spec, r)
-        table = {}
-        for left in letters:
-            for top in letters:
-                table[(left, top)] = tuple(
-                    (right, bottom,
-                     vertex_weight(spec.model, fam, (left, top, right, bottom), (z,), q))
-                    for right, bottom in _completions(fam, left, top, letters)
-                    if admissible_pattern(spec.model, fam, (left, top, right, bottom)))
-        tables.append(table)
+        table: dict = {}
+        for (left, top, right, bottom), w in pattern_table(
+                spec.model, _row_family(r), (_row_z(spec, r),), q, spec.alphabet).items():
+            table.setdefault((left, top), []).append((right, bottom, w))
+        tables.append({inputs: tuple(entries) for inputs, entries in table.items()})
     return tuple(tables)
 
 

@@ -36,7 +36,11 @@ The Gamma-Delta crossing is *not* stochastic: with top-pair inputs its two
 mixed rows sum to q and 1/q.  It exists only for the uncolored families,
 where it completes the set of crossings needed by the braid relations.
 
-Any label pattern not produced by the rules below has weight exactly 0.
+Any label pattern not *listed* by the rules below has weight exactly 0.
+``pattern_table`` is the one place that lists them (with their weights)
+for lattice rows, wiring-diagram nodes and ``stochastic_row_check``;
+``vertex_weight`` is the per-pattern rule it evaluates.
+
 All tables are pure functions of immutable arguments; share freely across
 threads.
 """
@@ -341,64 +345,68 @@ def vertex_weight(model: Model, family: Family, edges, params, q) -> Fraction:
     raise UsageError(f"unknown family {family}")
 
 
-#: Families whose exchange patterns are c-type (left pair = right pair read
-#: crosswise) versus d-type (left pair equal, right pair equal).
-_C_TYPE = (Family.GAMMA, Family.R_GAMMA_GAMMA, Family.R_DELTA_DELTA,
-           Family.R_LEMMA, Family.R_FISH)
+#: Families whose exchange patterns are d-type (left pair equal, right pair
+#: equal); the other four-edge families exchange c-type (right pair = left
+#: pair read crosswise).
 _D_TYPE = (Family.DELTA, Family.R_DELTA_GAMMA, Family.R_GAMMA_DELTA,
            Family.LEMMA_S, Family.LEMMA_T)
 
 
-def admissible_pattern(model: Model, family: Family, edges) -> bool:
-    """True iff the pattern is listed in the table (weight not identically 0).
+def _listed_patterns(model: Model, family: Family, letters):
+    """Every listed pattern over ``letters``, grouped by its first two
+    labels in letter order.  Within a group the straight-through pattern
+    comes before the exchange; a d-type group with equal first labels
+    lists (a, a, c, c) for every c in letter order.  Lattice rows keep
+    this order, so the state stream and the sampler's thresholds rest on
+    it."""
+    if family in (Family.CAP, Family.NEW_CAP):
+        emit = cap_map if family is Family.CAP else new_cap_map
+        for top in letters:
+            if emit(model, top) in letters:
+                yield top, emit(model, top)
+        return
+    d_type = family in _D_TYPE
+    for a in letters:
+        for b in letters:
+            if a != b:
+                yield a, b, a, b
+                if not d_type:
+                    yield a, b, b, a
+            elif d_type:
+                yield from ((a, a, c, c) for c in letters)
+            else:
+                yield a, a, a, a
 
-    A listed pattern may still have numeric weight 0 at a degenerate
-    parameter point; states built from listed patterns count as admissible
-    regardless.
+
+def pattern_table(model: Model, family: Family, params, q, letters) -> dict:
+    """``{edges: exact weight}`` for every listed pattern over ``letters``.
+
+    A pattern is listed if it is all-equal, passes straight through, or is
+    the family's c- or d-type exchange (caps: ``cap_map``/``new_cap_map``);
+    every other pattern has weight exactly 0.  ``vertex_weight`` is called
+    once per listed pattern, and listed patterns whose weight is 0 at a
+    degenerate parameter point are kept.  Edge tuples and ``params`` are
+    as in ``vertex_weight``.
     """
-    if family is Family.CAP:
-        top, bottom = edges
-        return cap_map(model, top) == bottom
-    if family is Family.NEW_CAP:
-        top, bottom = edges
-        return new_cap_map(model, top) == bottom
-    a, b, c, d = edges
-    if a == b == c == d:
-        return True
-    if (a, b) == (c, d) and a != b:
-        return True
-    if family in _C_TYPE:
-        return (a, b) == (d, c) and a != b
-    if family in _D_TYPE:
-        return a == b and c == d and a != c
-    raise UsageError(f"unknown family {family}")
+    return {edges: vertex_weight(model, family, edges, params, q)
+            for edges in _listed_patterns(model, family, letters)}
 
 
 def stochastic_row_check(model: Model, family: Family, inputs, params, q, n: int = 2) -> Fraction:
-    """Sum of weights over all output completions of the given inputs.
+    """Sum of the weights of the listed patterns with the given input labels.
 
     The contract (value exactly 1) holds for every family listed in
-    STOCHASTIC_INPUT_SLOTS; other families raise UsageError.
+    STOCHASTIC_INPUT_SLOTS; other families, a wrong number of inputs and
+    labels outside ``alphabet(model, n)`` raise UsageError.
     """
     if family not in STOCHASTIC_INPUT_SLOTS:
         raise UsageError(f"{family.value} has no stochastic input convention")
     letters = alphabet(model, n)
     in_slots = STOCHASTIC_INPUT_SLOTS[family]
-    nslots = 2 if family in (Family.CAP, Family.NEW_CAP) else 4
-    out_slots = [s for s in range(nslots) if s not in in_slots]
-    total = ZERO
-    edges = [None] * nslots
-    for slot, label in zip(in_slots, inputs):
-        edges[slot] = label
-
-    def fill(k):
-        nonlocal total
-        if k == len(out_slots):
-            total += vertex_weight(model, family, tuple(edges), params, q)
-            return
-        for letter in letters:
-            edges[out_slots[k]] = letter
-            fill(k + 1)
-
-    fill(0)
-    return total
+    inputs = tuple(inputs)
+    if len(inputs) != len(in_slots):
+        raise UsageError(f"{family.value} takes {len(in_slots)} input label(s), got {len(inputs)}")
+    if any(label not in letters for label in inputs):
+        raise UsageError(f"input labels {inputs} are not all in the alphabet {letters}")
+    return sum((w for edges, w in pattern_table(model, family, params, q, letters).items()
+                if tuple(edges[s] for s in in_slots) == inputs), ZERO)

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symplectic_ice import acceptance, cli
-from symplectic_ice import diagram as dg
 from symplectic_ice import dynamics, weights
 from symplectic_ice import functional as fn
 from symplectic_ice.lattice import all_signed_permutations
@@ -105,7 +104,7 @@ def test_verify_corrupted_preset_exits_one(capsys, monkeypatch):
             return w + F(1, 7)
         return w
 
-    monkeypatch.setattr(dg, "vertex_weight", corrupted)
+    monkeypatch.setattr(weights, "vertex_weight", corrupted)
     code, out, _ = run(capsys, "verify", "--relation", "ybe-gg", "--points", "2")
     assert code == 1
     assert "FAIL" in out and "counterexample" in out
@@ -252,6 +251,12 @@ def test_internal_error_exits_three(capsys, monkeypatch):
      "--z", "1/0", "--q", "2"),
     ("partition", "--model", "reflecting", "--n", "1", "--L", "1", "--lambda", "0",
      "--z", "1/2", "--q", "1/0"),
+    ("render", "--model", "reflecting", "--n", "1", "--L", "1", "--lambda", "0",
+     "--z", "1/2", "--q", "2", "--state-index", "-1"),
+    ("render", "--model", "reflecting", "--n", "1", "--L", "1", "--lambda", "0",
+     "--z", "1/2", "--q", "2", "--state-index", "5"),
+    ("render", "--model", "absorbing", "--n", "1", "--L", "1", "--lambda", "0",
+     "--z", "1/2", "--q", "5"),
 ])
 def test_invalid_counts_and_flags_exit_two(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from symplectic_ice import diagram as dg
+from symplectic_ice import weights
 from symplectic_ice.diagram import DiagramError, Node, WiringDiagram
 from symplectic_ice.rationals import sample_point
 from symplectic_ice.weights import Family, Model, vertex_weight
@@ -102,10 +103,17 @@ def test_multilinearity_in_nodes(monkeypatch):
         # the S node is the unique Gamma node in this diagram
         return scale * w if family is Family.GAMMA else w
 
-    monkeypatch.setattr(dg, "vertex_weight", scaled)
+    monkeypatch.setattr(weights, "vertex_weight", scaled)
     bumped = diag.evaluate_all(q)
     for key in set(base) | set(bumped):
         assert bumped.get(key, F(0)) == scale * base.get(key, F(0))
+
+
+def test_boundary_label_outside_alphabet_is_rejected():
+    z = sample_point(1, 2).z[0]
+    d = WiringDiagram(UR, 1, [Node(Family.GAMMA, (z,))], [], [(0, 0), (0, 1), (0, 2), (0, 3)])
+    with pytest.raises(DiagramError):
+        d.evaluate((5, 0, 5, 0), F(2))
 
 
 def test_construction_errors():

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -144,6 +145,28 @@ class TestEnumeration:
             parts, colors = bottom_outcome(config)
             assert parts == lam.parts
             assert colors is None
+
+    @pytest.mark.parametrize("model,lam,sigma,tau,states,digest", [
+        (UR, (1, 0), None, None, 30,
+         "41ffe6ed365066d3e62dd3cc20d2c1d5906e02e1785c629bce0027e659af6984"),
+        (UA, (2, 1), None, None, 40,
+         "bd8816e7cc9c8f3db6793d0052722808a364409514cbe73bd618f0bd7579400e"),
+        (CS, (1, 0), (1, -2), (-2, 1), 6,
+         "c24b3254ee8bede14b1443c578ac66c95d84289356a275a0d4428d502865cdad"),
+        (CP, (1, 0), (2, 1), (1, 2), 18,
+         "ff965a4aecc7febea4e868779aa71ba3465dccde8e2d2eb7b38154c6515f007c"),
+    ])
+    def test_state_stream_order_is_pinned(self, model, lam, sigma, tau, states, digest):
+        # render --state-index picks a state by its position in this stream,
+        # so the order of states (and their weights) is part of the interface
+        spec = LatticeSpec(model, 2, 4, Partition(lam), ParamPoint((F(1, 3), F(2, 5)), F(3, 2)),
+                           sigma and SignedPermutation(sigma), tau and SignedPermutation(tau))
+        h = hashlib.sha256()
+        count = 0
+        for config, weight in enumerate_states(spec):
+            h.update(repr((config.vert, config.hor, str(weight))).encode())
+            count += 1
+        assert (count, h.hexdigest()) == (states, digest)
 
 
 class TestTransferAgreement:

@@ -169,7 +169,7 @@ def test_corrupted_table_is_detected(monkeypatch):
             return w + 1
         return w
 
-    monkeypatch.setattr(dg, "vertex_weight", corrupted)
+    monkeypatch.setattr(weights, "vertex_weight", corrupted)
     rep = rel.verify_ybe_uncolored(G, G, sample_point(2, 2))
     assert not rep.passed
     point, boundary, lhs, rhs = rep.failures[0]

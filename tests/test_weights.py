@@ -6,8 +6,8 @@ import pytest
 
 from symplectic_ice.rationals import sample_point, sample_regime_point, zprime
 from symplectic_ice.weights import (Family, Model, STOCHASTIC_INPUT_SLOTS,
-                                    UsageError, admissible_pattern, alphabet,
-                                    cap_weight, stochastic_row_check,
+                                    UsageError, alphabet, cap_weight,
+                                    pattern_table, stochastic_row_check,
                                     vertex_weight)
 
 UR, UA = Model.UNCOLORED_REFLECTING, Model.UNCOLORED_ABSORBING
@@ -192,6 +192,15 @@ class TestStochasticity:
                     assert stochastic_row_check(model, fam, inputs, params, q, n) == 1, \
                         (model, fam, inputs)
 
+    @pytest.mark.parametrize("model,inputs", [
+        (UR, (5, 0)),     # 5 is no uncolored label (rank would read it as "+")
+        (CP, (7, 0)),     # outside the positive alphabet at n = 2
+        (UR, (0,)),       # one input on a two-input vertex
+    ])
+    def test_malformed_inputs_raise(self, model, inputs):
+        with pytest.raises(UsageError):
+            stochastic_row_check(model, Family.GAMMA, inputs, (Z,), Q, 2)
+
     def test_gamma_delta_crossing_not_stochastic(self):
         with pytest.raises(UsageError):
             stochastic_row_check(UR, Family.R_GAMMA_DELTA, (0, -1), (Z, Z), Q)
@@ -239,16 +248,36 @@ class TestConservation:
                     assert bottom == -top
 
 
-def test_admissible_pattern_vs_weight():
-    # admissible <-> weight not identically zero (checked at two points)
+def _params(fam, pt):
+    if fam in (Family.CAP, Family.NEW_CAP):
+        return ()
+    if fam in (Family.GAMMA, Family.DELTA, Family.LEMMA_S, Family.LEMMA_T, Family.R_FISH):
+        return (pt.z[0],)
+    return (pt.z[0], pt.z[1])
+
+
+def test_pattern_table_vs_weight():
+    # the table holds vertex_weight's value of every listed pattern, no
+    # listed pattern weighs 0 at both points, and every pattern it leaves
+    # out weighs exactly 0 at both, for every family of every model over
+    # the alphabets n = 1..3
     pts = [sample_point(2, s) for s in (5, 6)]
     for model in Model:
-        letters = alphabet(model, 2)
-        fams = [Family.GAMMA, Family.DELTA]
-        for fam in fams:
-            for edges in itertools.product(letters, repeat=4):
-                vals = [vertex_weight(model, fam, edges, (pt.z[0],), pt.q) for pt in pts]
-                if admissible_pattern(model, fam, edges):
-                    assert any(v != 0 for v in vals), (model, fam, edges)
-                else:
-                    assert all(v == 0 for v in vals)
+        for fam in Family:
+            nslots = 2 if fam in (Family.CAP, Family.NEW_CAP) else 4
+            if model.colored and fam in (Family.NEW_CAP, Family.R_GAMMA_DELTA):
+                with pytest.raises(UsageError):
+                    pattern_table(model, fam, _params(fam, pts[0]), pts[0].q, alphabet(model, 1))
+                continue
+            for n in (1, 2, 3):
+                letters = alphabet(model, n)
+                tables = [pattern_table(model, fam, _params(fam, pt), pt.q, letters) for pt in pts]
+                assert all(any(t[edges] != 0 for t in tables) for edges in tables[0]), (model, fam)
+                for pt, table in zip(pts, tables):
+                    params = _params(fam, pt)
+                    for edges in itertools.product(letters, repeat=nslots):
+                        weight = vertex_weight(model, fam, edges, params, pt.q)
+                        if edges in table:
+                            assert table[edges] == weight, (model, fam, edges)
+                        else:
+                            assert weight == 0, (model, fam, n, edges)
