@@ -38,7 +38,7 @@ from .lattice import (LatticeSpec, Partition, SignedPermutation,
                       enumerate_states, partition_function)
 from .rationals import ParamPoint, sample_point, sample_regime_point, zprime
 from .weights import (Family, Model, STOCHASTIC_INPUT_SLOTS, alphabet,
-                      stochastic_row_check, vertex_weight)
+                      stochastic_row_sums, vertex_weight)
 
 DEFAULT_SEED = 20250810
 
@@ -393,26 +393,24 @@ def criterion_11_stochasticity(seed=DEFAULT_SEED, points=100) -> CriterionResult
     n = 2
     pt = sample_point(n, seed)
     q = pt.q
-    # exact unit row sums for every stochastic table of every family
+    # exact unit row sums for every input tuple of every stochastic table of
+    # every family, one table each; a tuple with no listed pattern sums to 0
     for model in Model:
         letters = alphabet(model, n)
-        for fam in STOCHASTIC_INPUT_SLOTS:
+        for fam, slots in STOCHASTIC_INPUT_SLOTS.items():
             if fam is Family.CAP or fam is Family.NEW_CAP:
                 if fam is Family.NEW_CAP and model.colored:
                     continue
-                params_list = [()]
-                inputs_list = [(a,) for a in letters]
+                params = ()
             elif fam in (Family.GAMMA, Family.DELTA):
-                params_list = [(pt.z[0],)]
-                inputs_list = [(a, b) for a in letters for b in letters]
+                params = (pt.z[0],)
             else:
-                params_list = [(pt.z[0], pt.z[1])]
-                inputs_list = [(a, b) for a in letters for b in letters]
-            for params in params_list:
-                for inputs in inputs_list:
-                    s = stochastic_row_check(model, fam, inputs, params, q, n)
-                    if s != 1:
-                        bad.append((model.value, fam.value, inputs, s))
+                params = (pt.z[0], pt.z[1])
+            sums = stochastic_row_sums(model, fam, params, q, n)
+            for inputs in itertools.product(letters, repeat=len(slots)):
+                s = sums.get(inputs, 0)
+                if s != 1:
+                    bad.append((model.value, fam.value, inputs, s))
     # weights within [0, 1] at regime points
     for k in range(points):
         rp = sample_regime_point(n, seed + k)

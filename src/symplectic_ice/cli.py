@@ -37,7 +37,7 @@ from .dynamics import (ESCAPE, POOLED, SamplerConfig, SamplerSoundnessError,
                        compare_empirical_to_exact, exact_outcome_probabilities,
                        run_sampler, trajectory_from_configuration)
 from .lattice import (LatticeSpec, Partition, SignedPermutation, SpecError,
-                      enumerate_states, partition_function)
+                      count_states, enumerate_states, partition_function)
 from .rationals import DomainError, ParamPoint, SamplingError
 from .render import render_state
 from .weights import Model, UsageError
@@ -172,7 +172,7 @@ def cmd_partition(args) -> int:
               "tau": list(spec.tau.images) if spec.tau else None}
     if args.method == "transfer":
         value = partition_function(spec)
-        num_states = None
+        num_states = count_states(spec)
     else:
         states = list(enumerate_states(spec))
         value = sum((w for _, w in states), Fraction(0))
@@ -339,7 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", help="exact partition function of one spec")
     _spec_flags(p)
-    p.add_argument("--method", choices=["enumeration", "transfer"], default="enumeration")
+    p.add_argument("--method", choices=["enumeration", "transfer"], default="transfer",
+                   help="transfer (default): Z and the state count by the column "
+                        "transfer; enumeration: list every state and sum the weights")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_partition)
 

@@ -36,7 +36,11 @@ draw; the tests keep such a loop as the oracle.
 ``exact_outcome_probabilities`` is the exact law of the bottom outcome
 in one pass: a row transfer from the top over the words of vertical
 labels between row pairs, summing the same conditional probabilities the
-sampler draws from.
+sampler draws from.  It runs on the integer numerators of
+``lattice.integer_row_tables``: every path takes exactly L vertices from
+each row, so its probability is an integer over the common scale
+``prod_r D_r**L``, and each outcome's mass, and the escape mass
+``(scale - total) / scale``, is one exact ``Fraction`` division.
 ``exhaustive_distribution`` replaces the random word by a recursive sum
 over all branch choices with exact rational probabilities; it is kept as
 an independent oracle for the law, and for small systems it reproduces
@@ -53,7 +57,8 @@ import numpy as np
 from scipy.stats import chi2
 
 from .lattice import (Configuration, LatticeSpec, boundary_assignment,
-                      bottom_outcome, bottom_row_outcome, row_weight_tables)
+                      bottom_outcome, bottom_row_outcome, integer_row_tables,
+                      row_weight_tables)
 from .rationals import in_stochastic_regime
 from .weights import Family, cap_map, vertex_weight
 
@@ -460,7 +465,7 @@ def exhaustive_distribution(spec: LatticeSpec) -> dict:
 def _sweep_vertex(front: dict, table: dict, k: int) -> dict:
     """Resolve the vertex at word position k for every frontier entry.
 
-    ``front`` maps (word, carried horizontal label) to exact mass; the
+    ``front`` maps (word, carried horizontal label) to integer mass; the
     vertex reads the carried label and the word's letter at k, writes its
     bottom output into the word and carries its other output on.
     """
@@ -470,7 +475,7 @@ def _sweep_vertex(front: dict, table: dict, k: int) -> dict:
             if w == 0:
                 continue
             key = (word[:k] + (bottom,) + word[k + 1:], out)
-            nxt[key] = nxt.get(key, ZERO) + p * w
+            nxt[key] = nxt.get(key, 0) + p * w
     return nxt
 
 
@@ -479,18 +484,19 @@ def exact_outcome_probabilities(spec: LatticeSpec) -> dict:
 
     One row transfer from the top, the forward equation of the particle
     system.  Its state maps each word of vertical labels between two row
-    pairs (index c-1 for column c) to its exact mass.  A step sweeps the
-    Gamma row left to right from its left boundary label, maps the row's
-    right end through the cap, then sweeps the Delta row right to left;
-    paths whose Delta row emits a particle past column L escape and are
-    dropped.  In the stochastic regime the mass of an outcome is the
-    partition function with that bottom boundary, and the escape mass is
-    the complement.
+    pairs (index c-1 for column c) to its mass on integer numerators
+    (``lattice.integer_row_tables``), divided by the common scale once at
+    the end.  A step sweeps the Gamma row left to right from its left
+    boundary label, maps the row's right end through the cap, then sweeps
+    the Delta row right to left; paths whose Delta row emits a particle
+    past column L escape and are dropped.  In the stochastic regime the
+    mass of an outcome is the partition function with that bottom
+    boundary, and the escape mass is the complement.
     """
     bnd = boundary_assignment(spec)
-    tables = row_weight_tables(spec)
+    tables, scale = integer_row_tables(spec)
     L = spec.L
-    words = {tuple(bnd.top): ONE}
+    words = {tuple(bnd.top): 1}
     for i in range(spec.n, 0, -1):
         front = {(word, bnd.left[2 * i - 1]): p for word, p in words.items()}
         for c in range(L, 0, -1):
@@ -500,12 +506,14 @@ def exact_outcome_probabilities(spec: LatticeSpec) -> dict:
         for c in range(1, L + 1):
             front = _sweep_vertex(front, delta, c - 1)
         words = {word: p for (word, left), p in front.items() if left == bnd.left[2 * i - 2]}
-    out = {bottom_row_outcome(spec.model, word): p for word, p in words.items() if p != 0}
-    total = sum(out.values(), ZERO)
-    if total > 1:
-        raise SamplerSoundnessError(f"outcome probabilities sum to {total} > 1")
-    if total != 1:
-        out[ESCAPE] = 1 - total
+    masses = {bottom_row_outcome(spec.model, word): p for word, p in words.items() if p != 0}
+    total = sum(masses.values())
+    if total > scale:
+        raise SamplerSoundnessError(
+            f"outcome probabilities sum to {Fraction(total, scale)} > 1")
+    out = {key: Fraction(p, scale) for key, p in masses.items()}
+    if total != scale:
+        out[ESCAPE] = Fraction(scale - total, scale)
     return out
 
 

@@ -28,13 +28,19 @@ row's ``weights.pattern_table`` once per spec and keys it by the vertex's
 sweep inputs (left, top).
 
 There is one engine for ``Z``: ``partition_function`` is the sparse column
-transfer (``transfer_right_edge_weights``, columns L down to 1, each
-resolved vertex by vertex top to bottom, merging equal frontiers)
-contracted with the caps.  ``enumerate_states`` yields every admissible
-state with its weight by a column-ordered depth-first search over the
-same tables; it is kept as the state stream for rendering and for
-``partition --method enumeration``, and as an independent oracle for the
-transfer in the tests.
+transfer (columns L down to 1, each resolved vertex by vertex top to
+bottom, merging equal frontiers) contracted with the caps.  It runs on
+Python ints: ``integer_row_tables`` multiplies row r's weights by D_r,
+the common denominator of that row, and since every state has exactly L
+vertices in each row, ``Z * prod_r D_r**L`` is the integer the transfer
+sums; one ``Fraction`` division at the end gives the exact, normalised
+value (``transfer_right_edge_weights`` divides each open-right entry the
+same way).  The same transfer with every listed completion weighted 1 is
+``count_states``, the number of admissible states.  ``enumerate_states``
+yields every admissible state with its weight by a column-ordered
+depth-first search over the row tables; it is kept as the state stream
+for rendering and for ``partition --method enumeration``, and as an
+independent oracle for the transfer in the tests.
 
 Everything is pure and immutable; distinct specs may be evaluated
 concurrently.  The state stream from ``enumerate_states`` is a generator
@@ -43,6 +49,7 @@ concurrently.  The state stream from ``enumerate_states`` is a generator
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -50,7 +57,6 @@ from typing import Iterator, Optional
 from .rationals import ParamPoint
 from .weights import Family, Model, alphabet, cap_map, pattern_table
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -317,22 +323,37 @@ def enumerate_states(spec: LatticeSpec) -> Iterator[tuple]:
     yield from sweep(L, n2, ONE)
 
 
-def transfer_right_edge_weights(spec: LatticeSpec) -> dict:
-    """Column transfer without the final cap contraction.
+def integer_row_tables(spec: LatticeSpec) -> tuple:
+    """``row_weight_tables`` on integer numerators, and their common scale.
 
-    Returns the map from the tuple of 2n right-end horizontal labels
-    (rows ordered 1..2n) to the exact sum of weights of all column
-    fillings producing them -- the lattice with its right boundary left
-    open.  Contracting against the cap tables gives partition_function.
+    Row r's weights are multiplied by D_r, the least common multiple of
+    their denominators.  Every state, every open-right column filling and
+    every path of the outcome law takes exactly L vertices from each row,
+    so its weight is its integer product divided by
+    ``scale = prod_r D_r**L``: a sum of such weights is one integer sum and
+    one division, which ``Fraction`` normalises to the exact value.
+    """
+    tables, scale = [], 1
+    for table in row_weight_tables(spec):
+        den = math.lcm(*(w.denominator for entries in table.values() for _, _, w in entries))
+        tables.append({inputs: tuple((right, bottom, w.numerator * (den // w.denominator))
+                                     for right, bottom, w in entries)
+                       for inputs, entries in table.items()})
+        scale *= den ** spec.L
+    return tuple(tables), scale
 
-    Columns are resolved one vertex at a time, top to bottom; between two
-    vertices the frontier maps (horizontal labels, vertical label below
-    the last resolved vertex) to its summed weight, so paths that meet
-    are merged at once.
+
+def _column_transfer(spec: LatticeSpec, tables) -> dict:
+    """Sum of integer weights over column fillings, by right-end labels.
+
+    ``tables`` are row tables with integer weights; entries of weight 0
+    are skipped.  Columns are resolved one vertex at a time, top to
+    bottom; between two vertices the frontier maps (horizontal labels,
+    vertical label below the last resolved vertex) to its summed weight,
+    so paths that meet are merged at once.
     """
     bnd = boundary_assignment(spec)
-    tables = row_weight_tables(spec)
-    states = {tuple(bnd.left): ONE}
+    states = {tuple(bnd.left): 1}
     for c in range(spec.L, 0, -1):
         front = {(h, bnd.top[c - 1]): weight for h, weight in states.items()}
         for r in range(2 * spec.n, 0, -1):
@@ -343,19 +364,47 @@ def transfer_right_edge_weights(spec: LatticeSpec) -> dict:
                     if w == 0 or (r == 1 and bottom != bnd.bottom[c - 1]):
                         continue
                     key = (h[:r - 1] + (right,) + h[r:], bottom)
-                    nxt[key] = nxt.get(key, ZERO) + weight * w
+                    nxt[key] = nxt.get(key, 0) + weight * w
             front = nxt
         states = {h: weight for (h, _), weight in front.items()}
     return states
 
 
+def _capped(spec: LatticeSpec, right_edges: dict) -> int:
+    """Contract a column transfer with the caps: sum over closing right ends."""
+    return sum(weight for h, weight in right_edges.items()
+               if all(cap_map(spec.model, h[2 * i - 1]) == h[2 * i - 2]
+                      for i in range(1, spec.n + 1)))
+
+
+def transfer_right_edge_weights(spec: LatticeSpec) -> dict:
+    """Column transfer without the final cap contraction.
+
+    Returns the map from the tuple of 2n right-end horizontal labels
+    (rows ordered 1..2n) to the exact sum of weights of all column
+    fillings producing them -- the lattice with its right boundary left
+    open.  Contracting against the cap tables gives partition_function.
+    """
+    tables, scale = integer_row_tables(spec)
+    return {h: Fraction(weight, scale) for h, weight in _column_transfer(spec, tables).items()}
+
+
 def partition_function(spec: LatticeSpec) -> Fraction:
     """Exact sum of state weights: the column transfer contracted with the caps."""
-    total = ZERO
-    for h, weight in transfer_right_edge_weights(spec).items():
-        if all(cap_map(spec.model, h[2 * i - 1]) == h[2 * i - 2] for i in range(1, spec.n + 1)):
-            total += weight
-    return total
+    tables, scale = integer_row_tables(spec)
+    return Fraction(_capped(spec, _column_transfer(spec, tables)), scale)
+
+
+def count_states(spec: LatticeSpec) -> int:
+    """Number of admissible states, the length of ``enumerate_states``.
+
+    The column transfer with every listed completion weighted 1, so the
+    states that use a listed pattern of weight 0 are counted too.
+    """
+    tables = tuple({inputs: tuple((right, bottom, 1) for right, bottom, _ in entries)
+                    for inputs, entries in table.items()}
+                   for table in row_weight_tables(spec))
+    return _capped(spec, _column_transfer(spec, tables))
 
 
 def bottom_row_outcome(model: Model, bottom_row) -> tuple:

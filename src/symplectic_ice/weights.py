@@ -38,7 +38,7 @@ where it completes the set of crossings needed by the braid relations.
 
 Any label pattern not *listed* by the rules below has weight exactly 0.
 ``pattern_table`` is the one place that lists them (with their weights)
-for lattice rows, wiring-diagram nodes and ``stochastic_row_check``;
+for lattice rows, wiring-diagram nodes and ``stochastic_row_sums``;
 ``vertex_weight`` is the per-pattern rule it evaluates.
 
 All tables are pure functions of immutable arguments; share freely across
@@ -392,6 +392,24 @@ def pattern_table(model: Model, family: Family, params, q, letters) -> dict:
             for edges in _listed_patterns(model, family, letters)}
 
 
+def stochastic_row_sums(model: Model, family: Family, params, q, n: int = 2) -> dict:
+    """``{inputs: sum of the listed weights with those input labels}``.
+
+    One ``pattern_table`` over ``alphabet(model, n)``, summed by the input
+    slots of ``STOCHASTIC_INPUT_SLOTS``; an input tuple with no listed
+    pattern is absent (its sum is 0).  Families without a stochastic input
+    convention raise UsageError.
+    """
+    if family not in STOCHASTIC_INPUT_SLOTS:
+        raise UsageError(f"{family.value} has no stochastic input convention")
+    in_slots = STOCHASTIC_INPUT_SLOTS[family]
+    sums: dict = {}
+    for edges, w in pattern_table(model, family, params, q, alphabet(model, n)).items():
+        inputs = tuple(edges[s] for s in in_slots)
+        sums[inputs] = sums.get(inputs, ZERO) + w
+    return sums
+
+
 def stochastic_row_check(model: Model, family: Family, inputs, params, q, n: int = 2) -> Fraction:
     """Sum of the weights of the listed patterns with the given input labels.
 
@@ -408,5 +426,4 @@ def stochastic_row_check(model: Model, family: Family, inputs, params, q, n: int
         raise UsageError(f"{family.value} takes {len(in_slots)} input label(s), got {len(inputs)}")
     if any(label not in letters for label in inputs):
         raise UsageError(f"input labels {inputs} are not all in the alphabet {letters}")
-    return sum((w for edges, w in pattern_table(model, family, params, q, letters).items()
-                if tuple(edges[s] for s in in_slots) == inputs), ZERO)
+    return stochastic_row_sums(model, family, params, q, n).get(inputs, ZERO)

@@ -80,6 +80,19 @@ def test_criterion_11_stochasticity():
     _run(acc.criterion_11_stochasticity)
 
 
+def test_criterion_11_counts_an_absent_input_tuple_as_zero(monkeypatch):
+    # a row whose listed patterns miss an input tuple is not stochastic
+    def missing_one(*args):
+        sums = dict(real(*args))
+        sums.pop(next(iter(sums)))
+        return sums
+
+    real = acc.stochastic_row_sums
+    monkeypatch.setattr(acc, "stochastic_row_sums", missing_one)
+    result = acc.criterion_11_stochasticity(points=1)
+    assert not result.passed
+
+
 def test_criterion_12_monte_carlo():
     # n in {1, 2}, L = 4, q = 1/2, z = 3/4, 10^5 seeded samples per family;
     # pooled z < 5, chi-square below the 0.999 quantile; exhaustive path

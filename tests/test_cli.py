@@ -52,9 +52,27 @@ def test_partition_json_schema(capsys):
 def test_partition_transfer_method_agrees(capsys):
     args = ["partition", "--model", "absorbing", "--n", "2", "--L", "4",
             "--lambda", "2,0", "--z", "2/7,3/11", "--q", "5/3"]
-    _, out_enum, _ = run(capsys, *args)
+    _, out_enum, _ = run(capsys, *args, "--method", "enumeration")
     _, out_tr, _ = run(capsys, *args, "--method", "transfer")
     assert out_enum.strip().splitlines()[-1] == out_tr.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("z,q", [("2/7,3/11", "5/3"), ("1/2,1/3", "2")])
+def test_partition_defaults_to_transfer_and_counts_states(capsys, z, q):
+    # at z = 1/2,1/3, q = 2 (q z_1 = 1) 28 of the 30 states weigh 0
+    args = ["partition", "--model", "reflecting", "--n", "2", "--L", "4",
+            "--lambda", "1,0", "--z", z, "--q", q, "--json"]
+    payloads = {}
+    for method in (None, "transfer", "enumeration"):
+        code, out, _ = run(capsys, *args, *(["--method", method] if method else []))
+        assert code == 0
+        payloads[method] = json.loads(out)
+        payloads[method].pop("config")
+    assert payloads[None] == payloads["transfer"]
+    assert payloads["transfer"]["method"] == "transfer"
+    assert payloads["transfer"]["num_states"] == payloads["enumeration"]["num_states"] == 30
+    assert (payloads["transfer"]["partition_function"]
+            == payloads["enumeration"]["partition_function"])
 
 
 def test_verify_pass_and_exit_zero(capsys):

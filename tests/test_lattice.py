@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -8,8 +9,9 @@ from symplectic_ice.functional import closed_form_opposite
 from symplectic_ice.lattice import (LatticeSpec, Partition, SignedPermutation,
                                     SpecError, all_signed_permutations,
                                     boundary_assignment, bottom_outcome,
-                                    enumerate_states, particle_columns,
-                                    partition_function)
+                                    count_states, enumerate_states,
+                                    integer_row_tables, particle_columns,
+                                    partition_function, row_weight_tables)
 from symplectic_ice.rationals import ParamPoint, sample_point, sample_regime_point, zprime
 from symplectic_ice.weights import Model, cap_map
 
@@ -225,6 +227,58 @@ class TestTransferAgreement:
                 spec = LatticeSpec(model, n, L, lam, sample_point(n, 50 + k),
                                    sigma, tau)
                 assert partition_function(spec) == enumerated_z(spec)
+
+
+#: (model, n, L, lambda, sigma, tau): one n = 1 and one n = 2 spec per
+#: family, and one n = 3 spec
+COUNTED_SPECS = [
+    (UR, 1, 3, (1,), None, None), (UA, 1, 3, (1, 0), None, None),
+    (CS, 1, 3, (1,), (-1,), (1,)), (CP, 1, 3, (1,), (1,), (1,)),
+    (UR, 2, 4, (1, 0), None, None), (UA, 2, 4, (2, 1), None, None),
+    (CS, 2, 4, (1, 0), (1, -2), (-2, 1)), (CP, 2, 4, (1, 0), (2, 1), (1, 2)),
+    (UR, 3, 4, (1, 0, 0), None, None),
+]
+
+#: A generic point, and a degenerate one: q z_1 = 1, so the listed weight
+#: 1 - q z_1 is 0 and some states weigh 0
+COUNTED_POINTS = [((F(2, 7), F(3, 11), F(5, 13)), F(5, 3)),
+                  ((F(1, 2), F(1, 3), F(1, 4)), F(2))]
+
+
+class TestCountingTransfer:
+    @pytest.mark.parametrize("z,q", COUNTED_POINTS)
+    @pytest.mark.parametrize("model,n,L,lam,sigma,tau", COUNTED_SPECS)
+    def test_counts_and_integer_z_equal_enumeration(self, model, n, L, lam, sigma, tau, z, q):
+        spec = LatticeSpec(model, n, L, Partition(lam), ParamPoint(z[:n], q),
+                           sigma and SignedPermutation(sigma), tau and SignedPermutation(tau))
+        states = list(enumerate_states(spec))
+        assert count_states(spec) == len(states)
+        assert partition_function(spec) == sum((w for _, w in states), F(0))
+
+    def test_degenerate_point_has_zero_weight_states(self):
+        # the counting run must keep them: here 28 of the 30 states weigh 0
+        z, q = COUNTED_POINTS[1]
+        spec = LatticeSpec(UR, 2, 4, Partition((1, 0)), ParamPoint(z[:2], q))
+        weights = [w for _, w in enumerate_states(spec)]
+        assert (count_states(spec), weights.count(0)) == (30, 28)
+
+    @pytest.mark.parametrize("model,n,L,lam,sigma,tau", COUNTED_SPECS[4:8])
+    def test_integer_rows_scale_each_row_by_its_denominator(self, model, n, L, lam, sigma,
+                                                            tau):
+        # row r is multiplied by D_r, the lcm of its denominators, and the
+        # scale of every L-column product is prod_r D_r^L
+        spec = LatticeSpec(model, n, L, Partition(lam), sample_point(n, 60),
+                           sigma and SignedPermutation(sigma), tau and SignedPermutation(tau))
+        tables, scale = integer_row_tables(spec)
+        dens = []
+        for exact, scaled in zip(row_weight_tables(spec), tables, strict=True):
+            den = math.lcm(*(w.denominator for entries in exact.values() for _, _, w in entries))
+            assert den > 1
+            assert scaled == {inputs: tuple((r, b, w * den) for r, b, w in entries)
+                              for inputs, entries in exact.items()}
+            assert all(type(w) is int for entries in scaled.values() for _, _, w in entries)
+            dens.append(den)
+        assert scale == math.prod(d ** L for d in dens)
 
 
 class TestProbabilisticStructure:

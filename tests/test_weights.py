@@ -8,7 +8,7 @@ from symplectic_ice.rationals import sample_point, sample_regime_point, zprime
 from symplectic_ice.weights import (Family, Model, STOCHASTIC_INPUT_SLOTS,
                                     UsageError, alphabet, cap_weight,
                                     pattern_table, stochastic_row_check,
-                                    vertex_weight)
+                                    stochastic_row_sums, vertex_weight)
 
 UR, UA = Model.UNCOLORED_REFLECTING, Model.UNCOLORED_ABSORBING
 CS, CP = Model.COLORED_SIGNED, Model.COLORED_POSITIVE
@@ -172,7 +172,8 @@ class TestStochasticity:
 
     @pytest.mark.parametrize("model", list(Model))
     def test_all_stochastic_rows_sum_to_one(self, model):
-        # exact unit rows witnessed at 20 random points
+        # exact unit rows witnessed at 20 random points; one table per
+        # family sums every input tuple, and the row check looks one up
         n = 2
         letters = alphabet(model, n)
         for seed in range(20):
@@ -182,14 +183,15 @@ class TestStochasticity:
                 if fam is Family.NEW_CAP and model.colored:
                     continue
                 if fam in (Family.CAP, Family.NEW_CAP):
-                    params, inputs_list = (), [(a,) for a in letters]
+                    params = ()
                 elif fam in (Family.GAMMA, Family.DELTA):
-                    params, inputs_list = (pt.z[0],), list(itertools.product(letters, repeat=2))
+                    params = (pt.z[0],)
                 else:
                     params = (pt.z[0], pt.z[1])
-                    inputs_list = list(itertools.product(letters, repeat=2))
-                for inputs in inputs_list:
-                    assert stochastic_row_check(model, fam, inputs, params, q, n) == 1, \
+                sums = stochastic_row_sums(model, fam, params, q, n)
+                assert set(sums) == set(itertools.product(letters, repeat=len(slots)))
+                for inputs, total in sums.items():
+                    assert total == stochastic_row_check(model, fam, inputs, params, q, n) == 1, \
                         (model, fam, inputs)
 
     @pytest.mark.parametrize("model,inputs", [
@@ -204,6 +206,8 @@ class TestStochasticity:
     def test_gamma_delta_crossing_not_stochastic(self):
         with pytest.raises(UsageError):
             stochastic_row_check(UR, Family.R_GAMMA_DELTA, (0, -1), (Z, Z), Q)
+        with pytest.raises(UsageError):
+            stochastic_row_sums(UR, Family.R_GAMMA_DELTA, (Z, Z), Q)
 
     def test_weights_in_unit_interval_at_regime_points(self):
         for seed in range(20):
