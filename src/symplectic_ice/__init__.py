@@ -13,8 +13,8 @@ All numerics are exact rationals; identity checks are polynomial identity
 testing at random rational points with exact equality.
 """
 
-from .rationals import (DomainError, ParamPoint, Rational, SamplingError,
-                        in_stochastic_regime, rat, sample_point,
+from .rationals import (DomainError, ParamPoint, SamplingError,
+                        in_stochastic_regime, sample_point,
                         sample_regime_point, zprime)
 from .weights import (Family, Model, UsageError, alphabet, cap_map, cap_weight,
                       pattern_table, stochastic_row_check, stochastic_row_sums,

@@ -230,7 +230,6 @@ def cmd_sample(args) -> int:
     exact = exact_outcome_probabilities(spec)
     try:
         stats = compare_empirical_to_exact(summary, exact)
-        sound = True
     except SamplerSoundnessError as exc:
         print(f"SOUNDNESS FAILURE: {exc}", file=sys.stderr)
         return 1
@@ -375,15 +374,15 @@ def main(argv=None) -> int:
         if at + 1 == len(argv):
             print("error: --config needs a path", file=sys.stderr)
             return 2
-        path = argv[at + 1]
-        head, tail = argv[:at], argv[at + 2:]
         try:
-            injected = _load_config_flags(path)
+            injected = _load_config_flags(argv[at + 1])
         except (OSError, UsageError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        # config flags go right after the subcommand; explicit flags override
-        argv = head[:1] + injected + head[1:] + tail
+        # config flags go right after the subcommand, the first token once
+        # --config and its path are out, so that explicit flags override them
+        argv = argv[:at] + argv[at + 2:]
+        argv = argv[:1] + injected + argv[1:]
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

@@ -20,7 +20,7 @@ splitmix64-style chain), so samples are independent of iteration order,
 reproducible, and trivially parallel.  Cumulative weights are compared
 against the drawn word through integer thresholds ceil(c * 2^64); the
 2^-64 quantization is far below every statistical tolerance used here.
-The conditional laws are the rows of ``lattice.row_weight_tables``.
+The conditional laws are the rows of ``lattice.integer_row_tables``.
 
 ``Sampler`` is the one sweep: numpy arrays indexed by sample carry it for
 up to ``_CHUNK`` samples at once, the hash chain split so that only its
@@ -35,10 +35,10 @@ draw; the tests keep such a loop as the oracle.
 
 ``exact_outcome_probabilities`` is the exact law of the bottom outcome
 in one pass: a row transfer from the top over the words of vertical
-labels between row pairs, summing the same conditional probabilities the
-sampler draws from.  It runs on the integer numerators of
-``lattice.integer_row_tables``: every path takes exactly L vertices from
-each row, so its probability is an integer over the common scale
+labels between row pairs by ``lattice.sweep_vertex``, summing the same
+conditional probabilities the sampler draws from.  It runs on the integer
+numerators of ``lattice.integer_row_tables``: every path takes exactly L
+vertices from each row, so its probability is an integer over the scale
 ``prod_r D_r**L``, and each outcome's mass, and the escape mass
 ``(scale - total) / scale``, is one exact ``Fraction`` division.
 ``exhaustive_distribution`` replaces the random word by a recursive sum
@@ -58,7 +58,7 @@ from scipy.stats import chi2
 
 from .lattice import (Configuration, LatticeSpec, boundary_assignment,
                       bottom_outcome, bottom_row_outcome, integer_row_tables,
-                      row_weight_tables)
+                      step_table, sweep_vertex)
 from .rationals import in_stochastic_regime
 from .weights import Family, cap_map, vertex_weight
 
@@ -101,41 +101,32 @@ class SamplerConfig:
             raise ValueError(f"sampler needs at least 1 sample, got {self.num_samples}")
 
 
-def _by_right_input(table: dict) -> dict:
-    """A row table re-keyed by (right, top), for a right-to-left sweep."""
-    out: dict = {}
-    for (left, top), entries in table.items():
-        for right, bottom, w in entries:
-            out.setdefault((right, top), []).append((left, bottom, w))
-    return out
-
-
 def _conditional_tables(spec: LatticeSpec):
     """Per row: dict inputs -> (outputs list, integer cumulative thresholds).
 
     Gamma rows: inputs (left, top), outputs (right, bottom).
     Delta rows: inputs (right, top), outputs (left, bottom).
-    Read from ``row_weight_tables``, the outputs in which the carried label
-    passes straight through first.  Rows sum to exactly 1; thresholds are
-    ceil(cum * 2^64).
+    Read from ``lattice.integer_row_tables``, the outputs in which the
+    carried label passes straight through first.  Row r's weights of one
+    input pair sum to exactly D_r; thresholds are ceil(cum * 2^64 / D_r).
     """
-    tables = []
-    for r, table in enumerate(row_weight_tables(spec), start=1):
-        if r % 2 == 1:
-            table = _by_right_input(table)
+    tables, dens = integer_row_tables(spec)
+    rows = []
+    for r, (table, den) in enumerate(zip(tables, dens), start=1):
         conditional = {}
-        for (cur, top), entries in table.items():
+        for (cur, top), entries in step_table(table, 2 if r % 2 else 0, 1).items():
             entries = sorted(entries, key=lambda entry: entry[0] != cur)
-            total = sum((w for _, _, w in entries), ZERO)
-            if total != 1:
-                raise SamplerSoundnessError(f"row {r} inputs {(cur, top)} sum to {total}, not 1")
-            cum, thresholds = ZERO, []
+            total = sum(w for _, _, w in entries)
+            if total != den:
+                raise SamplerSoundnessError(
+                    f"row {r} inputs {(cur, top)} sum to {Fraction(total, den)}, not 1")
+            cum, thresholds = 0, []
             for _, _, w in entries:
                 cum += w
-                thresholds.append(-(-(cum.numerator * _TWO64) // cum.denominator))
+                thresholds.append(-(-(cum * _TWO64) // den))
             conditional[(cur, top)] = ([(out, bottom) for out, bottom, _ in entries], thresholds)
-        tables.append(conditional)
-    return tables
+        rows.append(conditional)
+    return rows
 
 
 @dataclass
@@ -462,23 +453,6 @@ def exhaustive_distribution(spec: LatticeSpec) -> dict:
 # The exact outcome law and empirical-vs-exact comparison
 # ---------------------------------------------------------------------------
 
-def _sweep_vertex(front: dict, table: dict, k: int) -> dict:
-    """Resolve the vertex at word position k for every frontier entry.
-
-    ``front`` maps (word, carried horizontal label) to integer mass; the
-    vertex reads the carried label and the word's letter at k, writes its
-    bottom output into the word and carries its other output on.
-    """
-    nxt: dict = {}
-    for (word, cur), p in front.items():
-        for out, bottom, w in table[(cur, word[k])]:
-            if w == 0:
-                continue
-            key = (word[:k] + (bottom,) + word[k + 1:], out)
-            nxt[key] = nxt.get(key, 0) + p * w
-    return nxt
-
-
 def exact_outcome_probabilities(spec: LatticeSpec) -> dict:
     """key -> exact probability for every outcome of nonzero mass, plus ESCAPE.
 
@@ -494,17 +468,19 @@ def exact_outcome_probabilities(spec: LatticeSpec) -> dict:
     boundary, and the escape mass is the complement.
     """
     bnd = boundary_assignment(spec)
-    tables, scale = integer_row_tables(spec)
+    tables, dens = integer_row_tables(spec)
     L = spec.L
+    scale = math.prod(dens) ** L
     words = {tuple(bnd.top): 1}
     for i in range(spec.n, 0, -1):
         front = {(word, bnd.left[2 * i - 1]): p for word, p in words.items()}
+        # a row table is keyed (left, top): the Gamma row's step table as it is
         for c in range(L, 0, -1):
-            front = _sweep_vertex(front, tables[2 * i - 1], c - 1)
+            front = sweep_vertex(front, tables[2 * i - 1], c - 1)
         front = {(word, cap_map(spec.model, h)): p for (word, h), p in front.items()}
-        delta = _by_right_input(tables[2 * i - 2])
+        delta = step_table(tables[2 * i - 2], 2, 1)
         for c in range(1, L + 1):
-            front = _sweep_vertex(front, delta, c - 1)
+            front = sweep_vertex(front, delta, c - 1)
         words = {word: p for (word, left), p in front.items() if left == bnd.left[2 * i - 2]}
     masses = {bottom_row_outcome(spec.model, word): p for word, p in words.items() if p != 0}
     total = sum(masses.values())

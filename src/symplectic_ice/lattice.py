@@ -29,14 +29,17 @@ sweep inputs (left, top).
 
 There is one engine for ``Z``: ``partition_function`` is the sparse column
 transfer (columns L down to 1, each resolved vertex by vertex top to
-bottom, merging equal frontiers) contracted with the caps.  It runs on
-Python ints: ``integer_row_tables`` multiplies row r's weights by D_r,
-the common denominator of that row, and since every state has exactly L
-vertices in each row, ``Z * prod_r D_r**L`` is the integer the transfer
-sums; one ``Fraction`` division at the end gives the exact, normalised
-value (``transfer_right_edge_weights`` divides each open-right entry the
-same way).  The same transfer with every listed completion weighted 1 is
-``count_states``, the number of admissible states.  ``enumerate_states``
+bottom, merging equal frontiers) contracted with the caps.  Its vertex
+step ``sweep_vertex`` also runs the exact outcome law along rows
+(``dynamics.exact_outcome_probabilities``).  It runs on Python ints:
+``integer_row_tables`` multiplies row r's weights by D_r, the common
+denominator of that row, and since every state has exactly L vertices in
+each row, ``Z * prod_r D_r**L`` is the integer the transfer sums; one
+``Fraction`` division at the end gives the exact, normalised value
+(``transfer_right_edge_weights`` divides each open-right entry the same
+way).  The same transfer with every listed completion weighted 1 is
+``count_states``, the number of admissible states; it reads only which
+patterns are listed and evaluates no weight.  ``enumerate_states``
 yields every admissible state with its weight by a column-ordered
 depth-first search over the row tables; it is kept as the state stream
 for rendering and for ``partition --method enumeration``, and as an
@@ -55,7 +58,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .rationals import ParamPoint
-from .weights import Family, Model, alphabet, cap_map, pattern_table
+from .weights import Family, Model, _listed_patterns, alphabet, cap_map, pattern_table
 
 ONE = Fraction(1)
 
@@ -256,8 +259,12 @@ def _row_family(r: int) -> Family:
     return Family.GAMMA if r % 2 == 0 else Family.DELTA
 
 
-def _row_z(spec: LatticeSpec, r: int) -> Fraction:
-    return spec.point.z[(r + 1) // 2 - 1]
+def _grouped(patterns) -> dict:
+    """``(edges, weight)`` pairs grouped as a row table, in pattern order."""
+    table: dict = {}
+    for (left, top, right, bottom), w in patterns:
+        table.setdefault((left, top), []).append((right, bottom, w))
+    return {inputs: tuple(entries) for inputs, entries in table.items()}
 
 
 def row_weight_tables(spec: LatticeSpec) -> tuple:
@@ -270,15 +277,9 @@ def row_weight_tables(spec: LatticeSpec) -> tuple:
     kept, so that enumeration still counts their states; the transfer
     skips them.
     """
-    q = spec.point.q
-    tables = []
-    for r in range(1, 2 * spec.n + 1):
-        table: dict = {}
-        for (left, top, right, bottom), w in pattern_table(
-                spec.model, _row_family(r), (_row_z(spec, r),), q, spec.alphabet).items():
-            table.setdefault((left, top), []).append((right, bottom, w))
-        tables.append({inputs: tuple(entries) for inputs, entries in table.items()})
-    return tuple(tables)
+    return tuple(_grouped(pattern_table(spec.model, _row_family(r), (spec.point.z[(r - 1) // 2],),
+                                        spec.point.q, spec.alphabet).items())
+                 for r in range(1, 2 * spec.n + 1))
 
 
 def enumerate_states(spec: LatticeSpec) -> Iterator[tuple]:
@@ -324,48 +325,75 @@ def enumerate_states(spec: LatticeSpec) -> Iterator[tuple]:
 
 
 def integer_row_tables(spec: LatticeSpec) -> tuple:
-    """``row_weight_tables`` on integer numerators, and their common scale.
+    """``(tables, dens)``: ``row_weight_tables`` on integer numerators.
 
-    Row r's weights are multiplied by D_r, the least common multiple of
-    their denominators.  Every state, every open-right column filling and
-    every path of the outcome law takes exactly L vertices from each row,
-    so its weight is its integer product divided by
-    ``scale = prod_r D_r**L``: a sum of such weights is one integer sum and
-    one division, which ``Fraction`` normalises to the exact value.
+    Row r's weights are multiplied by ``dens[r-1]`` = D_r, the least
+    common multiple of their denominators.  Every state, every open-right
+    column filling and every path of the outcome law takes exactly L
+    vertices from each row, so its weight is its integer product divided
+    by ``prod_r D_r**L``: a sum of such weights is one integer sum and one
+    division, which ``Fraction`` normalises to the exact value.
     """
-    tables, scale = [], 1
+    tables, dens = [], []
     for table in row_weight_tables(spec):
         den = math.lcm(*(w.denominator for entries in table.values() for _, _, w in entries))
         tables.append({inputs: tuple((right, bottom, w.numerator * (den // w.denominator))
                                      for right, bottom, w in entries)
                        for inputs, entries in table.items()})
-        scale *= den ** spec.L
-    return tuple(tables), scale
+        dens.append(den)
+    return tuple(tables), tuple(dens)
+
+
+def step_table(table: dict, carried: int, letter: int) -> dict:
+    """A row table keyed ``(carried, letter) -> [(carried out, letter out,
+    weight), ...]`` for ``sweep_vertex``, in table order.  ``carried`` and
+    ``letter`` are input slots of (left, top, right, bottom); their outputs
+    are the opposite slots, ``slot ^ 2``."""
+    out: dict = {}
+    for (left, top), entries in table.items():
+        for right, bottom, w in entries:
+            edges = (left, top, right, bottom)
+            out.setdefault((edges[carried], edges[letter]), []).append(
+                (edges[carried ^ 2], edges[letter ^ 2], w))
+    return out
+
+
+def sweep_vertex(front: dict, table: dict, k: int) -> dict:
+    """Resolve one vertex for every frontier entry, on integer weights.
+
+    ``front`` maps (word, carried label) to its weight; the vertex reads
+    the carried label and letter k of the word from a ``step_table``,
+    writes its letter out at k and carries the other output on.  Entries
+    of weight 0 are skipped, and equal frontier entries merge at once."""
+    nxt: dict = {}
+    for (word, cur), weight in front.items():
+        for out, letter, w in table[(cur, word[k])]:
+            if w == 0:
+                continue
+            key = (word[:k] + (letter,) + word[k + 1:], out)
+            nxt[key] = nxt.get(key, 0) + weight * w
+    return nxt
 
 
 def _column_transfer(spec: LatticeSpec, tables) -> dict:
     """Sum of integer weights over column fillings, by right-end labels.
 
-    ``tables`` are row tables with integer weights; entries of weight 0
-    are skipped.  Columns are resolved one vertex at a time, top to
-    bottom; between two vertices the frontier maps (horizontal labels,
-    vertical label below the last resolved vertex) to its summed weight,
-    so paths that meet are merged at once.
+    ``tables`` are row tables with integer weights.  A column is resolved
+    by ``sweep_vertex`` from the top, carrying the vertical label down the
+    word of horizontal labels; row 1 reads only the completions whose
+    bottom is the column's boundary label.
     """
     bnd = boundary_assignment(spec)
+    columns = [step_table(table, 1, 0) for table in tables]
+    row_1 = {label: {inputs: [entry for entry in entries if entry[0] == label]
+                     for inputs, entries in columns[0].items()}
+             for label in set(bnd.bottom)}
     states = {tuple(bnd.left): 1}
     for c in range(spec.L, 0, -1):
         front = {(h, bnd.top[c - 1]): weight for h, weight in states.items()}
         for r in range(2 * spec.n, 0, -1):
-            table = tables[r - 1]
-            nxt: dict = {}
-            for (h, top), weight in front.items():
-                for right, bottom, w in table[(h[r - 1], top)]:
-                    if w == 0 or (r == 1 and bottom != bnd.bottom[c - 1]):
-                        continue
-                    key = (h[:r - 1] + (right,) + h[r:], bottom)
-                    nxt[key] = nxt.get(key, 0) + weight * w
-            front = nxt
+            table = row_1[bnd.bottom[c - 1]] if r == 1 else columns[r - 1]
+            front = sweep_vertex(front, table, r - 1)
         states = {h: weight for (h, _), weight in front.items()}
     return states
 
@@ -385,25 +413,27 @@ def transfer_right_edge_weights(spec: LatticeSpec) -> dict:
     fillings producing them -- the lattice with its right boundary left
     open.  Contracting against the cap tables gives partition_function.
     """
-    tables, scale = integer_row_tables(spec)
+    tables, dens = integer_row_tables(spec)
+    scale = math.prod(dens) ** spec.L
     return {h: Fraction(weight, scale) for h, weight in _column_transfer(spec, tables).items()}
 
 
 def partition_function(spec: LatticeSpec) -> Fraction:
     """Exact sum of state weights: the column transfer contracted with the caps."""
-    tables, scale = integer_row_tables(spec)
-    return Fraction(_capped(spec, _column_transfer(spec, tables)), scale)
+    tables, dens = integer_row_tables(spec)
+    return Fraction(_capped(spec, _column_transfer(spec, tables)), math.prod(dens) ** spec.L)
 
 
 def count_states(spec: LatticeSpec) -> int:
     """Number of admissible states, the length of ``enumerate_states``.
 
     The column transfer with every listed completion weighted 1, so the
-    states that use a listed pattern of weight 0 are counted too.
+    states that use a listed pattern of weight 0 are counted too.  Only
+    which patterns are listed matters: no weight is evaluated.
     """
-    tables = tuple({inputs: tuple((right, bottom, 1) for right, bottom, _ in entries)
-                    for inputs, entries in table.items()}
-                   for table in row_weight_tables(spec))
+    tables = tuple(_grouped((edges, 1) for edges in
+                            _listed_patterns(spec.model, _row_family(r), spec.alphabet))
+                   for r in range(1, 2 * spec.n + 1))
     return _capped(spec, _column_transfer(spec, tables))
 
 

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-Rational = Fraction
-
 #: Default magnitude bound for numerators/denominators drawn by sample_point.
 SAMPLE_RANGE = 10**6
 
@@ -41,11 +39,6 @@ class DomainError(ValueError):
 class SamplingError(RuntimeError):
     """A random point could not be drawn: sample_point exhausted its
     rejection budget, or a drawn point missed the domain it was drawn for."""
-
-
-def rat(num, den=1) -> Fraction:
-    """Build an exact rational; convenience wrapper around Fraction."""
-    return Fraction(num, den)
 
 
 def zprime(z: Fraction, q: Fraction) -> Fraction:
@@ -80,10 +73,6 @@ class ParamPoint:
     def zp(self, i: int) -> Fraction:
         """z_i' for 1-based row index i."""
         return zprime(self.z[i - 1], self.q)
-
-    @property
-    def zprimes(self) -> tuple:
-        return tuple(zprime(v, self.q) for v in self.z)
 
     def replace_z(self, i: int, value: Fraction) -> "ParamPoint":
         """New point with z_i (1-based) replaced."""

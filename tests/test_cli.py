@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from symplectic_ice import acceptance, cli
 from symplectic_ice import dynamics, weights
 from symplectic_ice import functional as fn
-from symplectic_ice.lattice import all_signed_permutations
-from symplectic_ice.weights import Family
+from symplectic_ice.lattice import (LatticeSpec, Partition, SignedPermutation,
+                                    all_signed_permutations, partition_function)
+from symplectic_ice.rationals import ParamPoint
+from symplectic_ice.weights import Family, Model
 
 from scalar_sampler import scalar_run
 
@@ -263,6 +265,7 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     ("sample", "--model", "reflecting", "--n", "1", "--L", "2", "--z", "3/4",
      "--q", "1/2", "--samples", "-5"),
     ("partition", "--config"),
+    ("--config",),
     ("sample", "--model", "reflecting", "--n", "1", "--L", "2", "--z", "3/4",
      "--q", "1/2", "--samples", "10", "--trajectories", "/nonexistent/dir/t.jsonl"),
     ("partition", "--model", "reflecting", "--n", "1", "--L", "1", "--lambda", "0",
@@ -322,6 +325,43 @@ def test_config_file_flags_win(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--config", str(cfg),
                        "--relation", "ybe-dd", "--points", "1")
     assert '"points": 1' in out
+
+
+def test_config_before_or_after_subcommand(tmp_path, capsys):
+    # the file's flags follow the subcommand wherever --config stands, and
+    # explicit flags still win
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("model = reflecting\nn = 2\nL = 4\nlambda = 1,0\nz = 2/7,3/11\nq = 5/3\n")
+    before = run(capsys, "--config", str(cfg), "partition", "--json")
+    after = run(capsys, "partition", "--config", str(cfg), "--json")
+    assert before == after
+    assert before[0] == 0 and json.loads(before[1])["num_states"] == 30
+    code, out, _ = run(capsys, "--config", str(cfg), "partition", "--json", "--q", "2")
+    assert code == 0 and json.loads(out)["q"] == "2"
+
+
+def test_partition_evaluates_each_weight_once(capsys, monkeypatch):
+    # the state count reads only which patterns are listed, so the command
+    # evaluates exactly the weights that partition_function does
+    calls = []
+    vertex_weight = weights.vertex_weight
+
+    def counted(*args):
+        calls.append(args)
+        return vertex_weight(*args)
+
+    monkeypatch.setattr(weights, "vertex_weight", counted)
+    code, _, _ = run(capsys, "partition", "--model", "signed", "--n", "2", "--L", "4",
+                     "--lambda", "1,0", "--sigma", "1,-2", "--tau=-2,1",
+                     "--z", "2/7,3/11", "--q", "5/3")
+    assert code == 0
+    through_cli = len(calls)
+    calls.clear()
+    spec = LatticeSpec(Model.COLORED_SIGNED, 2, 4, Partition((1, 0)),
+                       ParamPoint((F(2, 7), F(3, 11)), F(5, 3)),
+                       SignedPermutation((1, -2)), SignedPermutation((-2, 1)))
+    partition_function(spec)
+    assert through_cli == len(calls) > 0
 
 
 def test_suite_quick(capsys):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -15,7 +16,7 @@ from symplectic_ice.dynamics import (ESCAPE, POOLED, Sampler, SamplerConfig,
 from symplectic_ice.lattice import (LatticeSpec, Partition, SignedPermutation,
                                     enumerate_states, partition_function)
 from symplectic_ice.rationals import ParamPoint
-from symplectic_ice.weights import Model
+from symplectic_ice.weights import Family, Model, pattern_table
 
 from scalar_sampler import ScalarSampler, scalar_run
 
@@ -131,6 +132,38 @@ class TestSampler:
         summary = run_sampler(SamplerConfig(reflecting_spec(), 2, 2000))
         assert summary.escape_count > 0
         assert summary.histogram.get(ESCAPE, 0) == summary.escape_count
+
+
+class TestThresholds:
+    @pytest.mark.parametrize("model", [UR, UA, CS, CP])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_thresholds_from_pattern_table(self, model, n):
+        # ceil(cum * 2^64) over the exact weights of each row's pattern
+        # table, straight-through output first: Gamma rows keyed by (left,
+        # top), Delta rows by (right, top)
+        spec = TestBatch.spec(model, n)
+        tables = dynamics._conditional_tables(spec)
+        assert len(tables) == 2 * n
+        for r, conditional in enumerate(tables, start=1):
+            if r % 2 == 0:
+                family, in_slots, out_slots = Family.GAMMA, (0, 1), (2, 3)
+            else:
+                family, in_slots, out_slots = Family.DELTA, (2, 1), (0, 3)
+            rows: dict = {}
+            for edges, w in pattern_table(model, family, (spec.point.z[(r - 1) // 2],),
+                                          spec.point.q, spec.alphabet).items():
+                rows.setdefault(tuple(edges[s] for s in in_slots), []).append(
+                    (tuple(edges[s] for s in out_slots), w))
+            expected = {}
+            for (cur, top), entries in rows.items():
+                entries.sort(key=lambda entry: entry[0][0] != cur)
+                cum, thresholds = F(0), []
+                for _, w in entries:
+                    cum += w
+                    thresholds.append(math.ceil(cum * 2**64))
+                assert cum == 1
+                expected[(cur, top)] = ([outputs for outputs, _ in entries], thresholds)
+            assert conditional == expected
 
 
 class TestBatch:

@@ -265,20 +265,18 @@ class TestCountingTransfer:
     @pytest.mark.parametrize("model,n,L,lam,sigma,tau", COUNTED_SPECS[4:8])
     def test_integer_rows_scale_each_row_by_its_denominator(self, model, n, L, lam, sigma,
                                                             tau):
-        # row r is multiplied by D_r, the lcm of its denominators, and the
-        # scale of every L-column product is prod_r D_r^L
+        # row r is multiplied by D_r, the lcm of its denominators, which
+        # integer_row_tables hands out with the tables
         spec = LatticeSpec(model, n, L, Partition(lam), sample_point(n, 60),
                            sigma and SignedPermutation(sigma), tau and SignedPermutation(tau))
-        tables, scale = integer_row_tables(spec)
-        dens = []
-        for exact, scaled in zip(row_weight_tables(spec), tables, strict=True):
-            den = math.lcm(*(w.denominator for entries in exact.values() for _, _, w in entries))
+        tables, dens = integer_row_tables(spec)
+        for exact, scaled, den in zip(row_weight_tables(spec), tables, dens, strict=True):
+            assert den == math.lcm(*(w.denominator for entries in exact.values()
+                                     for _, _, w in entries))
             assert den > 1
             assert scaled == {inputs: tuple((r, b, w * den) for r, b, w in entries)
                               for inputs, entries in exact.items()}
             assert all(type(w) is int for entries in scaled.values() for _, _, w in entries)
-            dens.append(den)
-        assert scale == math.prod(d ** L for d in dens)
 
 
 class TestProbabilisticStructure:
