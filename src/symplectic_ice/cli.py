@@ -18,8 +18,8 @@ reproduced from the output itself.  Exact rationals are always printed as
 digits.
 
 A flat key = value config file (lines 'name = value', '#' comments, names
-matching the long flag names) can be passed with --config; explicit flags
-win over config values.
+matching the long flag names, 'name = true' for a switch) can be passed
+with --config; explicit flags win over config values.
 """
 
 from __future__ import annotations
@@ -291,9 +291,12 @@ def cmd_suite(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_config_flags(path: str) -> list:
-    """Flat 'name = value' lines -> CLI tokens (prepended, so flags win)."""
+    """Flat 'name = value' lines -> CLI tokens (prepended, so flags win).
+
+    A switch such as --json is set by 'json = true'; 'name = false' adds
+    nothing."""
     tokens = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -301,7 +304,10 @@ def _load_config_flags(path: str) -> list:
             if "=" not in line:
                 raise UsageError(f"bad config line (want 'name = value'): {line!r}")
             name, value = (part.strip() for part in line.split("=", 1))
-            tokens += [f"--{name}", value]
+            if value == "true":
+                tokens.append(f"--{name}")
+            elif value != "false":
+                tokens += [f"--{name}", value]
     return tokens
 
 
@@ -376,8 +382,8 @@ def main(argv=None) -> int:
             return 2
         try:
             injected = _load_config_flags(argv[at + 1])
-        except (OSError, UsageError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except (OSError, UnicodeDecodeError, UsageError) as exc:
+            print(f"error: --config {argv[at + 1]}: {exc}", file=sys.stderr)
             return 2
         # config flags go right after the subcommand, the first token once
         # --config and its path are out, so that explicit flags override them

@@ -474,9 +474,9 @@ def exact_outcome_probabilities(spec: LatticeSpec) -> dict:
     words = {tuple(bnd.top): 1}
     for i in range(spec.n, 0, -1):
         front = {(word, bnd.left[2 * i - 1]): p for word, p in words.items()}
-        # a row table is keyed (left, top): the Gamma row's step table as it is
+        gamma = step_table(tables[2 * i - 1], 0, 1)
         for c in range(L, 0, -1):
-            front = sweep_vertex(front, tables[2 * i - 1], c - 1)
+            front = sweep_vertex(front, gamma, c - 1)
         front = {(word, cap_map(spec.model, h)): p for (word, h), p in front.items()}
         delta = step_table(tables[2 * i - 2], 2, 1)
         for c in range(1, L + 1):

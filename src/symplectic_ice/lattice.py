@@ -23,9 +23,11 @@ Internal storage uses 0-based column *indices* ``c-1`` for column ``c``:
 so the vertex in row r, column c reads
 ``(left, top, right, bottom) = (hor[r][c], vert[r][c-1], hor[r][c-1], vert[r-1][c-1])``.
 
-Weights are looked up, never recomputed: ``row_weight_tables`` reads each
-row's ``weights.pattern_table`` once per spec and keys it by the vertex's
-sweep inputs (left, top).
+Weights are looked up, never recomputed: a row table is the row's
+``weights.pattern_table``, built once per spec, mapping each listed
+pattern ``(left, top, right, bottom)`` to its weight.  ``step_table``
+re-keys it by the two input slots a sweep reads, for enumeration, the
+column transfer and the exact outcome law alike.
 
 There is one engine for ``Z``: ``partition_function`` is the sparse column
 transfer (columns L down to 1, each resolved vertex by vertex top to
@@ -175,6 +177,8 @@ class LatticeSpec:
     tau: Optional[SignedPermutation] = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise SpecError(f"need n >= 1, got n = {self.n}")
         if self.point.n != self.n:
             raise SpecError("point has wrong number of spectral parameters")
         nprime = self.lam.nparts
@@ -259,33 +263,23 @@ def _row_family(r: int) -> Family:
     return Family.GAMMA if r % 2 == 0 else Family.DELTA
 
 
-def _grouped(patterns) -> dict:
-    """``(edges, weight)`` pairs grouped as a row table, in pattern order."""
-    table: dict = {}
-    for (left, top, right, bottom), w in patterns:
-        table.setdefault((left, top), []).append((right, bottom, w))
-    return {inputs: tuple(entries) for inputs, entries in table.items()}
-
-
 def row_weight_tables(spec: LatticeSpec) -> tuple:
     """Exact weight of every listed vertex pattern, one table per row.
 
-    Entry ``r-1`` belongs to row r: its ``pattern_table`` grouped by the
-    inputs (left, top) of a vertex, mapping every pair of letters to the
-    tuple of its listed completions ``(right, bottom, weight)`` in table
-    order.  Listed patterns whose weight is 0 at a degenerate point are
-    kept, so that enumeration still counts their states; the transfer
-    skips them.
+    Entry ``r-1`` is row r's ``pattern_table``: ``{(left, top, right,
+    bottom): weight}`` in listing order.  Listed patterns whose weight is
+    0 at a degenerate point are kept, so that enumeration still counts
+    their states; the transfer skips them.
     """
-    return tuple(_grouped(pattern_table(spec.model, _row_family(r), (spec.point.z[(r - 1) // 2],),
-                                        spec.point.q, spec.alphabet).items())
+    return tuple(pattern_table(spec.model, _row_family(r), (spec.point.z[(r - 1) // 2],),
+                               spec.point.q, spec.alphabet)
                  for r in range(1, 2 * spec.n + 1))
 
 
 def enumerate_states(spec: LatticeSpec) -> Iterator[tuple]:
     """Yield every admissible (Configuration, exact weight) exactly once."""
     bnd = boundary_assignment(spec)
-    tables = row_weight_tables(spec)
+    tables = [step_table(table, 0, 1) for table in row_weight_tables(spec)]
     n2, L = 2 * spec.n, spec.L
     hor = [[None] * (L + 1) for _ in range(n2 + 1)]
     vert = [[None] * L for _ in range(n2 + 1)]
@@ -336,10 +330,8 @@ def integer_row_tables(spec: LatticeSpec) -> tuple:
     """
     tables, dens = [], []
     for table in row_weight_tables(spec):
-        den = math.lcm(*(w.denominator for entries in table.values() for _, _, w in entries))
-        tables.append({inputs: tuple((right, bottom, w.numerator * (den // w.denominator))
-                                     for right, bottom, w in entries)
-                       for inputs, entries in table.items()})
+        den = math.lcm(*(w.denominator for w in table.values()))
+        tables.append({edges: w.numerator * (den // w.denominator) for edges, w in table.items()})
         dens.append(den)
     return tuple(tables), tuple(dens)
 
@@ -350,11 +342,9 @@ def step_table(table: dict, carried: int, letter: int) -> dict:
     ``letter`` are input slots of (left, top, right, bottom); their outputs
     are the opposite slots, ``slot ^ 2``."""
     out: dict = {}
-    for (left, top), entries in table.items():
-        for right, bottom, w in entries:
-            edges = (left, top, right, bottom)
-            out.setdefault((edges[carried], edges[letter]), []).append(
-                (edges[carried ^ 2], edges[letter ^ 2], w))
+    for edges, w in table.items():
+        out.setdefault((edges[carried], edges[letter]), []).append(
+            (edges[carried ^ 2], edges[letter ^ 2], w))
     return out
 
 
@@ -431,8 +421,8 @@ def count_states(spec: LatticeSpec) -> int:
     states that use a listed pattern of weight 0 are counted too.  Only
     which patterns are listed matters: no weight is evaluated.
     """
-    tables = tuple(_grouped((edges, 1) for edges in
-                            _listed_patterns(spec.model, _row_family(r), spec.alphabet))
+    tables = tuple({edges: 1 for edges, _ in
+                    _listed_patterns(spec.model, _row_family(r), spec.alphabet)}
                    for r in range(1, 2 * spec.n + 1))
     return _capped(spec, _column_transfer(spec, tables))
 

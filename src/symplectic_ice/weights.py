@@ -36,10 +36,20 @@ The Gamma-Delta crossing is *not* stochastic: with top-pair inputs its two
 mixed rows sum to q and 1/q.  It exists only for the uncolored families,
 where it completes the set of crossings needed by the braid relations.
 
-Any label pattern not *listed* by the rules below has weight exactly 0.
-``pattern_table`` is the one place that lists them (with their weights)
-for lattice rows, wiring-diagram nodes and ``stochastic_row_sums``;
-``vertex_weight`` is the per-pattern rule it evaluates.
+Order classes
+-------------
+A pattern is *listed* if it is all-equal, passes straight through
+(a, b, a, b), or is its family's exchange: c-type (a, b, b, a) or d-type
+(a, a, c, c); a cap lists (top, cap_map(top)).  Every other pattern has
+weight exactly 0.  All-equal patterns and cap pairs weigh 1; any other listed weight depends only on the pattern's
+order class: straight through or exchange, with the first label lower or
+higher than the other.  So a family at one point takes at most four
+further values, and ``_RULES`` maps each family to the one rule that
+returns them.  ``_listed_patterns`` is the one place that lists patterns
+and names their classes; ``pattern_table`` evaluates the rule at most
+once per call and serves lattice rows, wiring-diagram nodes and
+``stochastic_row_sums``, and ``vertex_weight`` is the same listing
+restricted to one pattern.
 
 All tables are pure functions of immutable arguments; share freely across
 threads.
@@ -153,144 +163,166 @@ def cap_weight(model: Model, top: int, bottom: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Order-based weight rules.  Arguments a, b, c, d are already ranks.
+# Order-class weight rules (see the module docstring).  Each returns the
+# family's four class weights
+#
+#     (straight lower, straight higher, exchange lower, exchange higher)
+#
+# where "straight" is (a, b, a, b), "exchange" is (a, b, b, a) or
+# (a, a, c, c), and lower/higher compares the rank of a with that of b or c.
 # ---------------------------------------------------------------------------
 
-def _gamma(a, b, c, d, z, q):
+def _gamma(z, q):
     # (left, top, right, bottom)
-    if a == b == c == d:
-        return ONE
-    if (a, b) == (c, d) and a != b:
-        return z if a < b else q * z
-    if (a, b) == (d, c) and a != b:
-        return 1 - q * z if a > b else 1 - z
-    return ZERO
+    return z, q * z, 1 - z, 1 - q * z
 
 
-def _delta(a, b, c, d, zp, q):
+def _delta(z, q):
     # (left, top, right, bottom)
-    if a == b == c == d:
-        return ONE
-    if (a, b) == (c, d) and a != b:
-        return zp if a < b else zp / q
-    if a == b and c == d and a != c:
-        return 1 - zp if a > c else 1 - zp / q
-    return ZERO
+    zp = zprime(z, q)
+    return zp, zp / q, 1 - zp / q, 1 - zp
 
 
-def _r_gg(a, b, c, d, zi, zj, q):
+def _r_gg(zi, zj, q):
     # (sw, nw, ne, se); c-type exchanges
     den = 1 - (q + 1) * zj + q * zi * zj
-    if a == b == c == d:
-        return ONE
-    if (a, b) == (c, d) and a != b:
-        num = zi - zj
-        return num / den if a < b else q * num / den
-    if (a, b) == (d, c) and a != b:
-        if a > b:
-            return (1 - q * zi) * (1 - zj) / den
-        return (1 - zi) * (1 - q * zj) / den
-    return ZERO
+    num = zi - zj
+    return (num / den, q * num / den,
+            (1 - zi) * (1 - q * zj) / den, (1 - q * zi) * (1 - zj) / den)
 
 
-def _r_dg(a, b, c, d, zpi, zj, q):
+def _r_dg(zi, zj, q):
     # (sw, nw, ne, se); d-type exchanges
+    zpi = zprime(zi, q)
     den = 1 - zpi * zj
-    if a == b == c == d:
-        return ONE
-    if (a, b) == (c, d) and a != b:
-        if a < b:
-            return (zpi + q * zj - (q + 1) * zpi * zj) / den
-        return (zpi / q + zj - (1 + 1 / q) * zpi * zj) / den
-    if a == b and c == d and a != c:
-        if a > c:
-            return (1 - zpi) * (1 - q * zj) / den
-        return (1 - zpi / q) * (1 - zj) / den
-    return ZERO
+    return ((zpi + q * zj - (q + 1) * zpi * zj) / den,
+            (zpi / q + zj - (1 + 1 / q) * zpi * zj) / den,
+            (1 - zpi / q) * (1 - zj) / den, (1 - zpi) * (1 - q * zj) / den)
 
 
-def _r_dd(a, b, c, d, zpi, zpj, q):
+def _r_dd(zi, zj, q):
     # (sw, nw, ne, se); c-type exchanges
+    zpi, zpj = zprime(zi, q), zprime(zj, q)
     den = q - (q + 1) * zpi + zpi * zpj
-    if a == b == c == d:
-        return ONE
-    if (a, b) == (c, d) and a != b:
-        num = zpj - zpi
-        return num / den if a < b else q * num / den
-    if (a, b) == (d, c) and a != b:
-        if a > b:
-            return (1 - zpi) * (q - zpj) / den
-        return (1 - zpj) * (q - zpi) / den
-    return ZERO
+    num = zpj - zpi
+    return (num / den, q * num / den,
+            (1 - zpj) * (q - zpi) / den, (1 - zpi) * (q - zpj) / den)
 
 
-def _r_gd(a, b, c, d, zi, zpj, q):
+def _r_gd(zi, zj, q):
     # (sw, nw, ne, se); d-type exchanges; not stochastic
+    zpj = zprime(zj, q)
     den = zi * zpj - 1
-    if a == b == c == d:
-        return ONE
-    if (a, b) == (c, d) and a != b:
-        num = q * zi + zpj - (1 + q)
-        return num / den if a < b else num / (q * den)
-    if a == b and c == d and a != c:
-        if a > c:
-            return (1 - q * zi) * (1 - zpj) / den
-        return (1 - zi) * (q - zpj) / (q * den)
-    return ZERO
+    num = q * zi + zpj - (1 + q)
+    return (num / den, num / (q * den),
+            (1 - zi) * (q - zpj) / (q * den), (1 - q * zi) * (1 - zpj) / den)
 
 
-def _lemma_s(a, b, c, d, t1, q):
-    if a == b == c == d:
-        return ONE
-    if (a, b) == (c, d) and a != b:
-        return q * t1 if a < b else t1
-    if a == b and c == d and a != c:
-        return q * t1 - 1 if a > c else t1 - 1
-    return ZERO
+def _lemma_s(t1, q):
+    return q * t1, t1, t1 - 1, q * t1 - 1
 
 
-def _lemma_t(a, b, c, d, t2, q):
-    if a == b == c == d:
-        return ONE
-    if (a, b) == (c, d) and a != b:
-        return q * t2 if a < b else t2
-    if a == b and c == d and a != c:
-        return 1 - q * t2 if a > c else 1 - t2
-    return ZERO
+def _lemma_t(t2, q):
+    return q * t2, t2, 1 - t2, 1 - q * t2
 
 
-def _r_lemma(a, b, c, d, t1, t2, q):
+def _r_lemma(t1, t2, q):
     den = 1 - (q + 1) * t1 + q * t1 * t2
-    if a == b == c == d:
-        return ONE
-    if (a, b) == (c, d) and a != b:
-        num = t2 - t1
-        return num / den if a < b else q * num / den
-    if (a, b) == (d, c) and a != b:
-        if a > b:
-            return -(1 - t2) * (1 - q * t1) / den
-        return -(1 - t1) * (1 - q * t2) / den
-    return ZERO
+    num = t2 - t1
+    return (num / den, q * num / den,
+            -(1 - t1) * (1 - q * t2) / den, -(1 - t2) * (1 - q * t1) / den)
+
+
+def _r_fish(z, q):
+    return _r_lemma(1 / (q * z), zprime(z, q) / q, q)
+
+
+#: family -> (order-class rule, number of parameters, d-type exchange).
+#: d-type exchanges keep the left pair and the right pair equal; the other
+#: four-edge families exchange c-type (right pair = left pair read
+#: crosswise).  Caps have no rule: their listed patterns weigh 1.
+_RULES = {
+    Family.GAMMA: (_gamma, 1, False),
+    Family.DELTA: (_delta, 1, True),
+    Family.CAP: (None, 0, False),
+    Family.NEW_CAP: (None, 0, False),
+    Family.R_GAMMA_GAMMA: (_r_gg, 2, False),
+    Family.R_DELTA_GAMMA: (_r_dg, 2, True),
+    Family.R_DELTA_DELTA: (_r_dd, 2, False),
+    Family.R_GAMMA_DELTA: (_r_gd, 2, True),
+    Family.LEMMA_S: (_lemma_s, 1, True),
+    Family.LEMMA_T: (_lemma_t, 1, True),
+    Family.R_LEMMA: (_r_lemma, 2, False),
+    Family.R_FISH: (_r_fish, 1, False),
+}
 
 
 # ---------------------------------------------------------------------------
 # Public lookup
 # ---------------------------------------------------------------------------
 
-_PARAM_ARITY = {
-    Family.GAMMA: 1,
-    Family.DELTA: 1,
-    Family.CAP: 0,
-    Family.NEW_CAP: 0,
-    Family.R_GAMMA_GAMMA: 2,
-    Family.R_DELTA_GAMMA: 2,
-    Family.R_DELTA_DELTA: 2,
-    Family.R_GAMMA_DELTA: 2,
-    Family.LEMMA_S: 1,
-    Family.LEMMA_T: 1,
-    Family.R_LEMMA: 2,
-    Family.R_FISH: 1,
-}
+def _listed_patterns(model: Model, family: Family, letters):
+    """``(edges, order class)`` of every listed pattern over ``letters``,
+    grouped by its first two labels in letter order.  The class indexes
+    the family rule's four weights, or is None for a pattern of weight 1
+    (all-equal, or a cap's pair).  Within a group the straight-through
+    pattern comes before the exchange; a d-type group with equal first
+    labels lists (a, a, c, c) for every c in letter order.  Lattice rows
+    keep this order, so the state stream and the sampler's thresholds
+    rest on it."""
+    if family in (Family.CAP, Family.NEW_CAP):
+        emit = cap_map if family is Family.CAP else new_cap_map
+        for top in letters:
+            if emit(model, top) in letters:
+                yield (top, emit(model, top)), None
+        return
+    d_type = _RULES[family][2]
+    ranks = {label: rank(model, label) for label in letters}
+    for a in letters:
+        for b in letters:
+            if a != b:
+                higher = ranks[a] > ranks[b]
+                yield (a, b, a, b), higher
+                if not d_type:
+                    yield (a, b, b, a), 2 + higher
+            elif d_type:
+                for c in letters:
+                    yield (a, a, c, c), None if c == a else 2 + (ranks[a] > ranks[c])
+            else:
+                yield (a, a, a, a), None
+
+
+def _rule(model: Model, family: Family, params) -> tuple:
+    """``(rule, params)`` for the family, once the parameters are checked."""
+    rule, arity, _ = _RULES[family]
+    params = tuple(params)
+    if len(params) != arity:
+        raise UsageError(f"{family.value} takes {arity} parameter(s), got {len(params)}")
+    if family is Family.R_GAMMA_DELTA and model.colored:
+        raise UsageError("the colored families have no Gamma-Delta crossing")
+    return rule, params
+
+
+def pattern_table(model: Model, family: Family, params, q, letters) -> dict:
+    """``{edges: exact weight}`` for every listed pattern over ``letters``.
+
+    A pattern is listed if it is all-equal, passes straight through, or is
+    the family's c- or d-type exchange (caps: ``cap_map``/``new_cap_map``);
+    every other pattern has weight exactly 0.  The family's order-class
+    rule is evaluated at most once per call, and listed patterns whose
+    weight is 0 at a degenerate parameter point are kept.  Edge tuples and
+    ``params`` are as in ``vertex_weight``.
+    """
+    rule, params = _rule(model, family, params)
+    table, classes = {}, None
+    for edges, order in _listed_patterns(model, family, letters):
+        if order is None:
+            table[edges] = ONE
+            continue
+        if classes is None:
+            classes = rule(*params, q)
+        table[edges] = classes[order]
+    return table
 
 
 def vertex_weight(model: Model, family: Family, edges, params, q) -> Fraction:
@@ -306,90 +338,16 @@ def vertex_weight(model: Model, family: Family, edges, params, q) -> Fraction:
         R_LEMMA           (t1, t2)
         R_FISH            (z,)
         CAP/NEW_CAP       ()
+
+    The pattern is looked up in the listing over its own labels, so the
+    rule runs only for a listed pattern that is not all-equal.
     """
-    params = tuple(params)
-    if len(params) != _PARAM_ARITY[family]:
-        raise UsageError(f"{family.value} takes {_PARAM_ARITY[family]} parameter(s), got {len(params)}")
-
-    if family is Family.CAP:
-        return cap_weight(model, *edges)
-    if family is Family.NEW_CAP:
-        top, bottom = edges
-        return ONE if new_cap_map(model, top) == bottom else ZERO
-
-    if family is Family.R_GAMMA_DELTA and model.colored:
-        raise UsageError("the colored families have no Gamma-Delta crossing")
-
-    r = [rank(model, e) for e in edges]
-    if family is Family.GAMMA:
-        return _gamma(*r, params[0], q)
-    if family is Family.DELTA:
-        return _delta(*r, zprime(params[0], q), q)
-    if family is Family.R_GAMMA_GAMMA:
-        return _r_gg(*r, params[0], params[1], q)
-    if family is Family.R_DELTA_GAMMA:
-        return _r_dg(*r, zprime(params[0], q), params[1], q)
-    if family is Family.R_DELTA_DELTA:
-        return _r_dd(*r, zprime(params[0], q), zprime(params[1], q), q)
-    if family is Family.R_GAMMA_DELTA:
-        return _r_gd(*r, params[0], zprime(params[1], q), q)
-    if family is Family.LEMMA_S:
-        return _lemma_s(*r, params[0], q)
-    if family is Family.LEMMA_T:
-        return _lemma_t(*r, params[0], q)
-    if family is Family.R_LEMMA:
-        return _r_lemma(*r, params[0], params[1], q)
-    if family is Family.R_FISH:
-        z = params[0]
-        return _r_lemma(*r, 1 / (q * z), zprime(z, q) / q, q)
-    raise UsageError(f"unknown family {family}")
-
-
-#: Families whose exchange patterns are d-type (left pair equal, right pair
-#: equal); the other four-edge families exchange c-type (right pair = left
-#: pair read crosswise).
-_D_TYPE = (Family.DELTA, Family.R_DELTA_GAMMA, Family.R_GAMMA_DELTA,
-           Family.LEMMA_S, Family.LEMMA_T)
-
-
-def _listed_patterns(model: Model, family: Family, letters):
-    """Every listed pattern over ``letters``, grouped by its first two
-    labels in letter order.  Within a group the straight-through pattern
-    comes before the exchange; a d-type group with equal first labels
-    lists (a, a, c, c) for every c in letter order.  Lattice rows keep
-    this order, so the state stream and the sampler's thresholds rest on
-    it."""
-    if family in (Family.CAP, Family.NEW_CAP):
-        emit = cap_map if family is Family.CAP else new_cap_map
-        for top in letters:
-            if emit(model, top) in letters:
-                yield top, emit(model, top)
-        return
-    d_type = family in _D_TYPE
-    for a in letters:
-        for b in letters:
-            if a != b:
-                yield a, b, a, b
-                if not d_type:
-                    yield a, b, b, a
-            elif d_type:
-                yield from ((a, a, c, c) for c in letters)
-            else:
-                yield a, a, a, a
-
-
-def pattern_table(model: Model, family: Family, params, q, letters) -> dict:
-    """``{edges: exact weight}`` for every listed pattern over ``letters``.
-
-    A pattern is listed if it is all-equal, passes straight through, or is
-    the family's c- or d-type exchange (caps: ``cap_map``/``new_cap_map``);
-    every other pattern has weight exactly 0.  ``vertex_weight`` is called
-    once per listed pattern, and listed patterns whose weight is 0 at a
-    degenerate parameter point are kept.  Edge tuples and ``params`` are
-    as in ``vertex_weight``.
-    """
-    return {edges: vertex_weight(model, family, edges, params, q)
-            for edges in _listed_patterns(model, family, letters)}
+    rule, params = _rule(model, family, params)
+    edges = tuple(edges)
+    for listed, order in _listed_patterns(model, family, tuple(dict.fromkeys(edges))):
+        if listed == edges:
+            return ONE if order is None else rule(*params, q)[order]
+    return ZERO
 
 
 def stochastic_row_sums(model: Model, family: Family, params, q, n: int = 2) -> dict:

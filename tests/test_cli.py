@@ -116,15 +116,14 @@ def test_criterion_1_is_verify_of_the_crossing_relations(capsys):
 
 
 def test_verify_corrupted_preset_exits_one(capsys, monkeypatch):
-    true_weight = weights.vertex_weight
+    # corrupt the class of (0, -1, 0, -1): straight through, first label lower
+    rule, arity, d_type = weights._RULES[Family.R_GAMMA_GAMMA]
 
-    def corrupted(model, family, edges, params, q):
-        w = true_weight(model, family, edges, params, q)
-        if family is Family.R_GAMMA_GAMMA and edges == (0, -1, 0, -1):
-            return w + F(1, 7)
-        return w
+    def corrupted(*args):
+        classes = rule(*args)
+        return (classes[0] + F(1, 7),) + classes[1:]
 
-    monkeypatch.setattr(weights, "vertex_weight", corrupted)
+    monkeypatch.setitem(weights._RULES, Family.R_GAMMA_GAMMA, (corrupted, arity, d_type))
     code, out, _ = run(capsys, "verify", "--relation", "ybe-gg", "--points", "2")
     assert code == 1
     assert "FAIL" in out and "counterexample" in out
@@ -257,6 +256,10 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+#: Stands for the path of a config file that is not valid UTF-8.
+UNDECODABLE = "<undecodable config>"
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--relation", "ybe-gg", "--points", "0"),
     ("verify", "--relation", "ybe-gg", "--points", "2", "--jobs", "0"),
@@ -278,8 +281,21 @@ def test_internal_error_exits_three(capsys, monkeypatch):
      "--z", "1/2", "--q", "2", "--state-index", "5"),
     ("render", "--model", "absorbing", "--n", "1", "--L", "1", "--lambda", "0",
      "--z", "1/2", "--q", "5"),
+    ("partition", "--model", "reflecting", "--n", "0", "--L", "1", "--lambda=", "--z=",
+     "--q", "2"),
+    ("partition", "--model", "reflecting", "--n", "0", "--L", "1", "--lambda=", "--z=",
+     "--q", "2", "--method", "enumeration"),
+    ("render", "--model", "reflecting", "--n", "0", "--L", "1", "--lambda=", "--z=",
+     "--q", "2"),
+    ("sample", "--model", "reflecting", "--n", "0", "--L", "1", "--z=", "--q", "1/2",
+     "--samples", "10"),
+    ("--config", UNDECODABLE, "partition"),
 ])
-def test_invalid_counts_and_flags_exit_two(capsys, argv):
+def test_invalid_counts_and_flags_exit_two(capsys, tmp_path, argv):
+    if UNDECODABLE in argv:
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes("# r\xe9glage\nq = 2\n".encode("latin-1"))
+        argv = tuple(str(path) if arg == UNDECODABLE else arg for arg in argv)
     code, _, err = run(capsys, *argv)
     assert code == 2
     lines = err.strip().splitlines()
@@ -340,17 +356,31 @@ def test_config_before_or_after_subcommand(tmp_path, capsys):
     assert code == 0 and json.loads(out)["q"] == "2"
 
 
+def test_config_sets_switches(tmp_path, capsys):
+    # 'json = true' is --json, 'json = false' leaves the switch off
+    flags = ("partition", "--model", "reflecting", "--n", "1", "--L", "2", "--lambda", "0",
+             "--z", "2/7", "--q", "5/3")
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("json = true\n")
+    on = run(capsys, "--config", str(cfg), *flags)
+    assert on == run(capsys, *flags, "--json")
+    assert on[0] == 0 and json.loads(on[1])["num_states"] == 2
+    cfg.write_text("json = false\n")
+    assert run(capsys, "--config", str(cfg), *flags) == run(capsys, *flags)
+
+
 def test_partition_evaluates_each_weight_once(capsys, monkeypatch):
     # the state count reads only which patterns are listed, so the command
-    # evaluates exactly the weights that partition_function does
+    # evaluates each row's rule exactly as often as partition_function does
     calls = []
-    vertex_weight = weights.vertex_weight
+    for family in (Family.GAMMA, Family.DELTA):
+        rule, arity, d_type = weights._RULES[family]
 
-    def counted(*args):
-        calls.append(args)
-        return vertex_weight(*args)
+        def counted(*args, rule=rule):
+            calls.append(args)
+            return rule(*args)
 
-    monkeypatch.setattr(weights, "vertex_weight", counted)
+        monkeypatch.setitem(weights._RULES, family, (counted, arity, d_type))
     code, _, _ = run(capsys, "partition", "--model", "signed", "--n", "2", "--L", "4",
                      "--lambda", "1,0", "--sigma", "1,-2", "--tau=-2,1",
                      "--z", "2/7,3/11", "--q", "5/3")

@@ -4,7 +4,6 @@ from fractions import Fraction as F
 import pytest
 
 from symplectic_ice import diagram as dg
-from symplectic_ice import weights
 from symplectic_ice.diagram import DiagramError, Node, WiringDiagram
 from symplectic_ice.rationals import sample_point
 from symplectic_ice.weights import Family, Model, vertex_weight
@@ -96,14 +95,16 @@ def test_multilinearity_in_nodes(monkeypatch):
     base = diag.evaluate_all(q)
 
     scale = F(3)
-    true_weight = vertex_weight
+    true_table = dg.pattern_table
 
-    def scaled(model, family, edges, params, q_):
-        w = true_weight(model, family, edges, params, q_)
+    def scaled(model, family, params, q_, letters):
+        table = true_table(model, family, params, q_, letters)
         # the S node is the unique Gamma node in this diagram
-        return scale * w if family is Family.GAMMA else w
+        if family is Family.GAMMA:
+            return {edges: scale * w for edges, w in table.items()}
+        return table
 
-    monkeypatch.setattr(weights, "vertex_weight", scaled)
+    monkeypatch.setattr(dg, "pattern_table", scaled)
     bumped = diag.evaluate_all(q)
     for key in set(base) | set(bumped):
         assert bumped.get(key, F(0)) == scale * base.get(key, F(0))

@@ -271,12 +271,11 @@ class TestCountingTransfer:
                            sigma and SignedPermutation(sigma), tau and SignedPermutation(tau))
         tables, dens = integer_row_tables(spec)
         for exact, scaled, den in zip(row_weight_tables(spec), tables, dens, strict=True):
-            assert den == math.lcm(*(w.denominator for entries in exact.values()
-                                     for _, _, w in entries))
+            assert den == math.lcm(*(w.denominator for w in exact.values()))
             assert den > 1
-            assert scaled == {inputs: tuple((r, b, w * den) for r, b, w in entries)
-                              for inputs, entries in exact.items()}
-            assert all(type(w) is int for entries in scaled.values() for _, _, w in entries)
+            assert scaled == {edges: w * den for edges, w in exact.items()}
+            assert list(scaled) == list(exact)
+            assert all(type(w) is int for w in scaled.values())
 
 
 class TestProbabilisticStructure:

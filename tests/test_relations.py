@@ -160,16 +160,15 @@ def test_reflection_odd_color_type_vanishes():
 
 def test_corrupted_table_is_detected(monkeypatch):
     # a deliberately corrupted weight entry must produce failures with a
-    # minimal counterexample attached
-    true_weight = weights.vertex_weight
+    # minimal counterexample attached: the Gamma-Gamma crossing's
+    # straight-through class with the first label lower, i.e. (0, -1, 0, -1)
+    rule, arity, d_type = weights._RULES[Family.R_GAMMA_GAMMA]
 
-    def corrupted(model, family, edges, params, q):
-        w = true_weight(model, family, edges, params, q)
-        if family is Family.R_GAMMA_GAMMA and edges == (0, -1, 0, -1):
-            return w + 1
-        return w
+    def corrupted(*args):
+        classes = rule(*args)
+        return (classes[0] + 1,) + classes[1:]
 
-    monkeypatch.setattr(weights, "vertex_weight", corrupted)
+    monkeypatch.setitem(weights._RULES, Family.R_GAMMA_GAMMA, (corrupted, arity, d_type))
     rep = rel.verify_ybe_uncolored(G, G, sample_point(2, 2))
     assert not rep.passed
     point, boundary, lhs, rhs = rep.failures[0]

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from symplectic_ice.rationals import sample_point, sample_regime_point, zprime
-from symplectic_ice.weights import (Family, Model, STOCHASTIC_INPUT_SLOTS,
+from symplectic_ice.weights import (Family, Model, R_FAMILIES, STOCHASTIC_INPUT_SLOTS,
                                     UsageError, alphabet, cap_weight,
                                     pattern_table, stochastic_row_check,
                                     stochastic_row_sums, vertex_weight)
@@ -285,3 +285,48 @@ def test_pattern_table_vs_weight():
                             assert table[edges] == weight, (model, fam, edges)
                         else:
                             assert weight == 0, (model, fam, n, edges)
+
+
+def _singular(fam):
+    """``(params, q)`` at which the crossing's common denominator vanishes."""
+    q = F(7, 3)
+    zp = zprime(F(2, 5), q)                         # 5/6
+    if fam is Family.R_GAMMA_GAMMA:                 # 1 - (q+1) z_j + q z_i z_j
+        zj = F(2, 5)
+        return (((q + 1) * zj - 1) / (q * zj), zj), q
+    if fam is Family.R_DELTA_GAMMA:                 # 1 - z_i' z_j
+        return (F(2, 5), 1 / zp), q
+    if fam is Family.R_DELTA_DELTA:                 # q - (q+1) z_i' + z_i' z_j'
+        zpj = ((q + 1) * zp - q) / zp
+        return (F(2, 5), 1 / (q + 1 - zpj)), q
+    if fam is Family.R_GAMMA_DELTA:                 # z_i z_j' - 1
+        return (1 / zp, F(2, 5)), q
+    if fam is Family.R_LEMMA:                       # 1 - (q+1) t1 + q t1 t2
+        t1 = F(2, 5)
+        return (t1, ((q + 1) * t1 - 1) / (q * t1)), q
+    return (F(1, 2),), F(4)                         # R_FISH: 1 - 1/(q z^2)
+
+
+@pytest.mark.parametrize("fam", R_FAMILIES)
+def test_singular_crossing_keeps_trivial_patterns(fam):
+    # where a crossing's denominator vanishes, every listed pattern that is
+    # not all-equal is undefined, but all-equal patterns still weigh 1 and
+    # unlisted ones 0: neither needs the family's weight formula
+    params, q = _singular(fam)
+    generic = sample_point(2, 5)
+    for model in Model:
+        if model.colored and fam is Family.R_GAMMA_DELTA:
+            continue
+        for n in (1, 2):
+            letters = alphabet(model, n)
+            listed = pattern_table(model, fam, _params(fam, generic), generic.q, letters)
+            with pytest.raises(ZeroDivisionError):
+                pattern_table(model, fam, params, q, letters)
+            for edges in itertools.product(letters, repeat=4):
+                if len(set(edges)) == 1:
+                    assert vertex_weight(model, fam, edges, params, q) == 1
+                elif edges not in listed:
+                    assert vertex_weight(model, fam, edges, params, q) == 0, (model, edges)
+                else:
+                    with pytest.raises(ZeroDivisionError):
+                        vertex_weight(model, fam, edges, params, q)
