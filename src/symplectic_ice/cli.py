@@ -31,12 +31,14 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial, reduce
 
+import numpy as np
+
 from . import acceptance
 from . import relations as rel
 from .dynamics import (ESCAPE, POOLED, SamplerConfig, SamplerSoundnessError,
                        compare_empirical_to_exact, exact_outcome_probabilities,
-                       run_sampler, trajectory_from_configuration)
-from .lattice import (LatticeSpec, Partition, SignedPermutation, SpecError,
+                       run_sampler, trajectory_from_rows)
+from .lattice import (LatticeSpec, Partition, SignedPermutation, SpecError, bottom_row_outcome,
                       count_states, enumerate_states, partition_function)
 from .rationals import DomainError, ParamPoint, SamplingError
 from .render import render_state
@@ -195,17 +197,23 @@ def cmd_partition(args) -> int:
     return 0
 
 
-def _trajectory_writer(fh):
-    """Per-sample hook writing JSON lines: one record per sample, stable key order."""
-    def write(index, out):
-        record = {
-            "escaped": out.escaped,
-            "index": index,
-            "outcome": outcome_str(out.key),
-            "trajectory": [[[c, l] for c, l in step]
-                           for step in trajectory_from_configuration(out.config)],
-        }
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
+def _trajectory_writer(fh, model):
+    """Per-chunk ``run_sampler`` hook writing one JSON line per sample, keys
+    sorted; samples alike within a chunk share all of the line but the index."""
+    def write(first, labels, escaped):
+        rows, L, m = labels.shape
+        found, inverse = np.unique(np.column_stack((labels.reshape(-1, m).T, escaped)),
+                                   axis=0, return_inverse=True)
+        heads, tails = [], []
+        for *flat, escape in found.tolist():
+            vert = [flat[r * L:(r + 1) * L] for r in range(rows)]
+            key = ESCAPE if escape else bottom_row_outcome(model, vert[0])
+            heads.append('{"escaped": ' + json.dumps(bool(escape)) + ', "index": ')
+            tails.append(', "outcome": ' + json.dumps(outcome_str(key)) + ', "trajectory": '
+                         + json.dumps(trajectory_from_rows(vert)) + "}\n")
+        # ravel: in some numpy 2.0.x releases this inverse is not 1-D
+        fh.writelines(heads[k] + str(index) + tails[k]
+                      for index, k in enumerate(inverse.ravel().tolist(), first))
     return write
 
 
@@ -218,13 +226,13 @@ def cmd_sample(args) -> int:
               "samples": args.samples, "seed": args.seed,
               "trajectories": args.trajectories}
     sampler_config = SamplerConfig(spec, args.seed, args.samples)
-    if args.trajectories:
+    if args.trajectories is not None:
         try:
             fh = open(args.trajectories, "w")
         except OSError as exc:
             raise UsageError(f"cannot write --trajectories: {exc}") from None
         with fh:
-            summary = run_sampler(sampler_config, _trajectory_writer(fh))
+            summary = run_sampler(sampler_config, _trajectory_writer(fh, spec.model))
     else:
         summary = run_sampler(sampler_config)
     exact = exact_outcome_probabilities(spec)
@@ -293,8 +301,9 @@ def cmd_suite(args) -> int:
 def _load_config_flags(path: str) -> list:
     """Flat 'name = value' lines -> CLI tokens (prepended, so flags win).
 
-    A switch such as --json is set by 'json = true'; 'name = false' adds
-    nothing."""
+    A value becomes one '--name=value' token, so that a value starting
+    with '-' (such as 'sigma = -2,1') stays a value.  A switch such as
+    --json is set by 'json = true'; 'name = false' adds nothing."""
     tokens = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -307,7 +316,7 @@ def _load_config_flags(path: str) -> list:
             if value == "true":
                 tokens.append(f"--{name}")
             elif value != "false":
-                tokens += [f"--{name}", value]
+                tokens.append(f"--{name}={value}")
     return tokens
 
 
@@ -375,19 +384,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--config" in argv:
-        at = argv.index("--config")
-        if at + 1 == len(argv):
-            print("error: --config needs a path", file=sys.stderr)
-            return 2
+    at = next((k for k, token in enumerate(argv) if token.partition("=")[0] == "--config"),
+              None)
+    if at is not None:
+        _, inline, path = argv[at].partition("=")
+        if not inline:
+            if at + 1 == len(argv):
+                print("error: --config needs a path", file=sys.stderr)
+                return 2
+            path = argv.pop(at + 1)
+        del argv[at]
         try:
-            injected = _load_config_flags(argv[at + 1])
+            injected = _load_config_flags(path)
         except (OSError, UnicodeDecodeError, UsageError) as exc:
-            print(f"error: --config {argv[at + 1]}: {exc}", file=sys.stderr)
+            print(f"error: --config {path}: {exc}", file=sys.stderr)
             return 2
         # config flags go right after the subcommand, the first token once
         # --config and its path are out, so that explicit flags override them
-        argv = argv[:at] + argv[at + 2:]
         argv = argv[:1] + injected + argv[1:]
     ap = build_parser()
     args = ap.parse_args(argv)

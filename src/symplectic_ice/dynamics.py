@@ -26,12 +26,12 @@ The conditional laws are the rows of ``lattice.integer_row_tables``.
 up to ``_CHUNK`` samples at once, the hash chain split so that only its
 column round runs per vertex, and every vertex writes its outputs into
 the chunk's edge arrays.  The histogram of ``run_sampler`` is read off
-their bottom row and each Delta row's last output; the per-sample
-``Configuration`` of ``sample_configuration``, ``Sampler.sample`` and the
+their bottom row and each Delta row's last output; the per-chunk
 ``each`` hook of ``run_sampler`` (which ``sample --trajectories`` uses)
-is read off the same arrays.  Because the generator is counter-based, the
-sweep draws exactly the words a per-vertex loop over ``mix64`` would
-draw; the tests keep such a loop as the oracle.
+reads their vertical labels, and ``Sampler.sample`` the one
+``Configuration`` of a one-sample sweep.  Because the generator is
+counter-based, the sweep draws exactly the words a per-vertex loop over
+``mix64`` would draw; the tests keep such a loop as the oracle.
 
 ``exact_outcome_probabilities`` is the exact law of the bottom outcome
 in one pass: a row transfer from the top over the words of vertical
@@ -310,25 +310,16 @@ class Sampler:
         for _, key, count in sorted(found, key=lambda entry: entry[0]):
             summary.histogram[key] = summary.histogram.get(key, 0) + int(count)
 
-    def _outcomes(self, vert, hor):
-        """A chunk's samples one at a time, labels as Python ints."""
-        spec = self.spec
-        unused = ((None,) * (spec.L + 1),)
-        for j, escaped in enumerate(self._escaped(hor).tolist()):
-            config = Configuration(
-                spec.model, spec.n, spec.L,
-                tuple(map(tuple, self.letters[vert[:, :, j]].tolist())),
-                unused + tuple(map(tuple, self.letters[hor[1:, :, j]].tolist())))
-            yield SampleOutcome(config, escaped, ESCAPE if escaped else bottom_outcome(config))
-
-    def outcomes(self, start: int, stop: int):
-        """Yield the ``SampleOutcome`` of samples start..stop-1 in index order."""
-        for _, vert, hor in self.sweep(start, stop):
-            yield from self._outcomes(vert, hor)
-
     def sample(self, index: int) -> SampleOutcome:
         """Deterministic function of (seed, index)."""
-        return next(self.outcomes(index, index + 1))
+        spec = self.spec
+        (_, vert, hor), = self.sweep(index, index + 1)
+        escaped = bool(self._escaped(hor)[0])
+        config = Configuration(
+            spec.model, spec.n, spec.L,
+            tuple(map(tuple, self.letters[vert[:, :, 0]].tolist())),
+            ((None,) * (spec.L + 1),) + tuple(map(tuple, self.letters[hor[1:, :, 0]].tolist())))
+        return SampleOutcome(config, escaped, ESCAPE if escaped else bottom_outcome(config))
 
 
 def sample_configuration(config: SamplerConfig, index: int) -> SampleOutcome:
@@ -339,19 +330,18 @@ def sample_configuration(config: SamplerConfig, index: int) -> SampleOutcome:
 def run_sampler(config: SamplerConfig, each=None) -> SampleSummary:
     """SampleSummary over num_samples draws; pure in (spec, seed, num_samples).
 
-    ``each``, if given, is called as ``each(index, outcome)`` on every
-    sample in index order, so a caller can export samples without drawing
-    them a second time.  Hook or not, the samples come from the same
-    chunks of ``Sampler.sweep``: the summary is read off each chunk's edge
-    arrays, and so are the outcomes handed to ``each``.
+    ``each``, if given, is called once per chunk of ``Sampler.sweep`` in
+    index order, as ``each(first_index, labels, escaped)``: the chunk's
+    vertical labels, shape (2n+1, L, m) like ``Configuration.vert``, and
+    its m escape flags.  So a caller can export the samples the summary
+    counts without drawing them a second time.
     """
     sampler = Sampler(config)
     summary = SampleSummary(config.num_samples)
     for start, vert, hor in sampler.sweep(0, config.num_samples):
         sampler.record(summary, vert, hor)
         if each is not None:
-            for index, outcome in enumerate(sampler._outcomes(vert, hor), start):
-                each(index, outcome)
+            each(start, sampler.letters[vert], sampler._escaped(hor))
     summary.check()
     return summary
 
@@ -368,12 +358,13 @@ def trajectory_from_configuration(config: Configuration):
     bottom boundary at t = 2n), ordered left to right (decreasing column
     number).
     """
-    out = []
-    for t in range(0, 2 * config.n + 1):
-        layer = config.vert[2 * config.n - t]
-        occ = [(c, layer[c - 1]) for c in range(config.L, 0, -1) if layer[c - 1] != 0]
-        out.append(occ)
-    return out
+    return trajectory_from_rows(config.vert)
+
+
+def trajectory_from_rows(vert):
+    """The trajectory of vertical label rows 0..2n (index c-1 for column c)."""
+    return [[(c, layer[c - 1]) for c in range(len(layer), 0, -1) if layer[c - 1] != 0]
+            for layer in reversed(vert)]
 
 
 # ---------------------------------------------------------------------------

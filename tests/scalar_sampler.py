@@ -68,7 +68,7 @@ class ScalarSampler:
         return SampleOutcome(config, escaped, key)
 
 
-def scalar_run(config, each=None) -> SampleSummary:
+def scalar_run(config) -> SampleSummary:
     """``run_sampler`` by the scalar sweep: one sample at a time, keys added
     to the histogram in the order of their first sample."""
     sampler = ScalarSampler(config)
@@ -77,7 +77,5 @@ def scalar_run(config, each=None) -> SampleSummary:
         outcome = sampler.sample(index)
         summary.escape_count += outcome.escaped
         summary.histogram[outcome.key] = summary.histogram.get(outcome.key, 0) + 1
-        if each is not None:
-            each(index, outcome)
     summary.check()
     return summary

@@ -18,7 +18,7 @@ from symplectic_ice.lattice import (LatticeSpec, Partition, SignedPermutation,
 from symplectic_ice.rationals import ParamPoint
 from symplectic_ice.weights import Family, Model
 
-from scalar_sampler import scalar_run
+from scalar_sampler import ScalarSampler, scalar_run
 
 
 def run(capsys, *argv):
@@ -214,26 +214,60 @@ def test_sample_trajectories_draw_each_sample_once(tmp_path, capsys, monkeypatch
     assert histogram == {k: outcomes.count(k) for k in set(outcomes)}
 
 
+SAMPLE_Z = ("3/4", "4/5", "5/6")
+SAMPLE_SIGMA = {"signed": ("-1", "2,-1", "3,-1,2"), "positive": ("1", "2,1", "3,1,2")}
+
+
+def check_export_against_scalar_oracle(tmp_path, capsys, monkeypatch, model, n, L):
+    """40 samples in chunks of 16: the trajectory file holds, byte for byte,
+    the records of the scalar oracle's samples, and the histogram is the
+    scalar oracle's.  Returns the expected file's text."""
+    monkeypatch.setattr(dynamics, "_CHUNK", 16)
+    path = tmp_path / "traj.jsonl"
+    argv = ["sample", "--model", model, "--n", str(n), "--L", str(L),
+            "--z", ",".join(SAMPLE_Z[:n]), "--q", "1/2", "--samples", "40",
+            "--seed", "6", "--trajectories", str(path), "--json"]
+    sigma = None
+    if model in SAMPLE_SIGMA:
+        argv.append(f"--sigma={SAMPLE_SIGMA[model][n - 1]}")
+        sigma = SignedPermutation(tuple(map(int, SAMPLE_SIGMA[model][n - 1].split(","))))
+    code, out, _ = run(capsys, *argv)
+    assert code in (0, 1)
+    spec = LatticeSpec(cli.MODEL_NAMES[model], n, L,
+                       Partition(() if model == "absorbing" else (0,) * n),
+                       ParamPoint(tuple(F(z) for z in SAMPLE_Z[:n]), F(1, 2)),
+                       sigma, SignedPermutation.identity(n) if sigma else None)
+    config = dynamics.SamplerConfig(spec, 6, 40)
+    oracle = ScalarSampler(config)
+    expected = ""
+    for index in range(40):
+        outcome = oracle.sample(index)
+        record = {"escaped": outcome.escaped, "index": index,
+                  "outcome": cli.outcome_str(outcome.key),
+                  "trajectory": dynamics.trajectory_from_configuration(outcome.config)}
+        expected += json.dumps(record, sort_keys=True) + "\n"
+    assert path.read_bytes() == expected.encode()
+    histogram = scalar_run(config).histogram
+    assert json.loads(out)["histogram"] == {cli.outcome_str(k): v for k, v in histogram.items()}
+    return expected
+
+
 @pytest.mark.parametrize("model", sorted(cli.MODEL_NAMES))
 @pytest.mark.parametrize("n", [1, 2])
 def test_sample_exports_equal_scalar_oracle(tmp_path, capsys, monkeypatch, model, n):
-    # 40 samples in chunks of 16: the trajectory file and the JSON output
-    # are those the scalar oracle writes through the same CLI
-    monkeypatch.setattr(dynamics, "_CHUNK", 16)
-    path = tmp_path / "traj.jsonl"
-    argv = ["sample", "--model", model, "--n", str(n), "--L", str(n + 2),
-            "--z", ",".join(["3/4", "4/5"][:n]), "--q", "1/2", "--samples", "40",
-            "--seed", "6", "--trajectories", str(path), "--json"]
-    sigma = {"signed": ("-1", "2,-1"), "positive": ("1", "2,1")}
-    if model in sigma:
-        argv.append(f"--sigma={sigma[model][n - 1]}")
-    exports = []
-    for sampler in (dynamics.run_sampler, scalar_run):
-        monkeypatch.setattr(cli, "run_sampler", sampler)
-        code, out, err = run(capsys, *argv)
-        exports.append((code, out, err, path.read_bytes()))
-    assert exports[0] == exports[1]
-    assert exports[0][3].count(b"\n") == 40
+    check_export_against_scalar_oracle(tmp_path, capsys, monkeypatch, model, n, n + 2)
+
+
+@pytest.mark.parametrize("model, n, L", [
+    ("absorbing", 1, 0),      # no columns: every trajectory is empty
+    ("signed", 3, 4),
+    ("reflecting", 1, 1),     # escaped and kept samples
+])
+def test_sample_export_edge_cases_equal_scalar_oracle(tmp_path, capsys, monkeypatch,
+                                                      model, n, L):
+    expected = check_export_against_scalar_oracle(tmp_path, capsys, monkeypatch, model, n, L)
+    if L == 1:
+        assert '"escaped": true' in expected and '"escaped": false' in expected
 
 
 def test_sample_rejects_tau():
@@ -290,6 +324,11 @@ UNDECODABLE = "<undecodable config>"
     ("sample", "--model", "reflecting", "--n", "0", "--L", "1", "--z=", "--q", "1/2",
      "--samples", "10"),
     ("--config", UNDECODABLE, "partition"),
+    ("--config=/nonexistent/dir/p.cfg", "partition"),
+    ("partition", "--config=/nonexistent/dir/p.cfg"),
+    ("--config", "/nonexistent/dir/p.cfg", "partition"),
+    ("sample", "--model", "reflecting", "--n", "1", "--L", "2", "--z", "3/4",
+     "--q", "1/2", "--samples", "10", "--trajectories", ""),
 ])
 def test_invalid_counts_and_flags_exit_two(capsys, tmp_path, argv):
     if UNDECODABLE in argv:
@@ -349,11 +388,27 @@ def test_config_before_or_after_subcommand(tmp_path, capsys):
     cfg = tmp_path / "p.cfg"
     cfg.write_text("model = reflecting\nn = 2\nL = 4\nlambda = 1,0\nz = 2/7,3/11\nq = 5/3\n")
     before = run(capsys, "--config", str(cfg), "partition", "--json")
-    after = run(capsys, "partition", "--config", str(cfg), "--json")
-    assert before == after
     assert before[0] == 0 and json.loads(before[1])["num_states"] == 30
+    assert run(capsys, "partition", "--config", str(cfg), "--json") == before
+    assert run(capsys, f"--config={cfg}", "partition", "--json") == before
+    assert run(capsys, "partition", f"--config={cfg}", "--json") == before
     code, out, _ = run(capsys, "--config", str(cfg), "partition", "--json", "--q", "2")
     assert code == 0 and json.loads(out)["q"] == "2"
+
+
+@pytest.mark.parametrize("line, flag, rest, value", [
+    ("sigma = -2,1", "--sigma=-2,1", ("--q", "1/2"), "-35/1728"),
+    ("q = -1/2", "--q=-1/2", ("--sigma", "1,2"), "665/55296"),
+])
+def test_config_values_may_start_with_a_dash(tmp_path, capsys, line, flag, rest, value):
+    # a config value is one '--name=value' token, so '-2,1' is not a flag
+    flags = ("partition", "--model", "signed", "--n", "2", "--L", "3", "--lambda", "0,0",
+             "--tau", "1,2", "--z", "1/2,1/3", *rest)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    from_config = run(capsys, "--config", str(cfg), *flags)
+    assert from_config == run(capsys, *flags, flag)
+    assert from_config[0] == 0 and from_config[1].splitlines()[-1] == value
 
 
 def test_config_sets_switches(tmp_path, capsys):
