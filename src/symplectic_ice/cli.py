@@ -335,9 +335,12 @@ def _spec_flags(p, fixed_bottom=True):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviations at the top level: main reads --config itself, so
+    # --conf must be an unknown flag rather than an unread --config
     ap = argparse.ArgumentParser(prog="symplectic-ice",
                                  description="Exact verification and sampling for "
-                                             "stochastic symplectic ice models")
+                                             "stochastic symplectic ice models",
+                                 allow_abbrev=False)
     ap.add_argument("--config", help="flat key = value config file (flags win)")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 

@@ -8,6 +8,9 @@ internal edges of the product of node weights -- exactly the partition
 functions appearing in the braid, cap and crossing relations.  Node
 weights come from ``weights.pattern_table``: only a node's nonzero listed
 patterns are ever tried, since every other labeling weighs 0.
+``contract`` sums the products on integer numerators, each node's table
+scaled by its common denominator, and ``evaluate_all`` divides each sum
+once by the product of those denominators.
 
 This evaluator is for identity checking, not whole lattices: diagrams are
 capped at MAX_INTERNAL_EDGES internal edges.  Diagrams are immutable after
@@ -24,6 +27,7 @@ configurations (reflection_lhs / reflection_rhs).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -101,48 +105,65 @@ class WiringDiagram:
         """Map from boundary tuple to value, for all admissible boundaries.
 
         With ``frozen`` set, only that single boundary assignment is
-        explored.  Each node's ``pattern_table`` is built once per call and
-        indexed by the labels the node shares with slots set before it
-        (frozen boundary stubs, edges to earlier nodes).  One depth-first
-        sweep over the nodes then walks only the nonzero listed patterns
-        that agree with the labels already set, so the full boundary
-        tensor costs barely more than a single evaluation.
+        explored.  Each value is a ``contract`` total divided once by the
+        contraction's denominator.
         """
-        nb = len(self.boundary)
-        labels = [None] * (nb + len(self.edges))
-        known = set()
-        if frozen is not None:
-            labels[:nb] = frozen
-            known.update(range(nb))
-        steps = []   # per node: (positions set before it, its free positions, index)
-        for i, node in enumerate(self.nodes):
-            positions = tuple(self._slot_pos[(i, s)] for s in range(node.nslots))
-            bound = [p for p in dict.fromkeys(positions) if p in known]
-            free = [p for p in dict.fromkeys(positions) if p not in known]
-            index: dict = {}
-            for edges, w in pattern_table(self.model, node.family, node.params, q,
-                                          self.alphabet).items():
-                at = dict(zip(positions, edges))   # two slots on one edge must agree
-                if w != 0 and tuple(at[p] for p in positions) == edges:
-                    index.setdefault(tuple(at[p] for p in bound), []).append(
-                        (tuple(at[p] for p in free), w))
-            steps.append((bound, free, index))
-            known.update(positions)
-        out: dict = {}
+        totals, den = contract(self, q, frozen)
+        return {key: Fraction(total, den) for key, total in totals.items()}
 
-        def visit(i: int, acc: Fraction):
-            if i == len(steps):
-                key = tuple(labels[:nb])
-                out[key] = out.get(key, ZERO) + acc
-                return
-            bound, free, index = steps[i]
-            for values, w in index.get(tuple(labels[p] for p in bound), ()):
-                for p, label in zip(free, values):
-                    labels[p] = label
-                visit(i + 1, acc * w)
 
-        visit(0, ONE)
-        return out
+def contract(diag: WiringDiagram, q, frozen=None) -> tuple:
+    """``(totals, den)``: the boundary tensor of ``diag`` on integer weights.
+
+    Each node's ``pattern_table`` is built once per call and multiplied by
+    D, the least common multiple of its weights' denominators, then indexed
+    by the labels the node shares with slots set before it (frozen boundary
+    stubs, edges to earlier nodes).  One depth-first sweep over the nodes
+    walks only the nonzero listed patterns that agree with the labels
+    already set, multiplying integers.  Every internal labeling takes one
+    pattern from each node, so boundary ``key`` has the exact value
+    ``totals[key] / den`` with ``den`` the product of the node D's.
+    ``totals`` holds every boundary that some labeling reaches, in the
+    order the sweep first reaches it; with ``frozen`` set, only that one.
+    """
+    nb = len(diag.boundary)
+    labels = [None] * (nb + len(diag.edges))
+    known = set()
+    if frozen is not None:
+        labels[:nb] = frozen
+        known.update(range(nb))
+    steps = []   # per node: (positions set before it, its free positions, index)
+    den = 1
+    for i, node in enumerate(diag.nodes):
+        positions = tuple(diag._slot_pos[(i, s)] for s in range(node.nslots))
+        bound = [p for p in dict.fromkeys(positions) if p in known]
+        free = [p for p in dict.fromkeys(positions) if p not in known]
+        table = pattern_table(diag.model, node.family, node.params, q, diag.alphabet)
+        d = math.lcm(*(w.denominator for w in table.values()))
+        den *= d
+        index: dict = {}
+        for edges, w in table.items():
+            at = dict(zip(positions, edges))   # two slots on one edge must agree
+            if w != 0 and tuple(at[p] for p in positions) == edges:
+                index.setdefault(tuple(at[p] for p in bound), []).append(
+                    (tuple(at[p] for p in free), w.numerator * (d // w.denominator)))
+        steps.append((bound, free, index))
+        known.update(positions)
+    out: dict = {}
+
+    def visit(i: int, acc: int):
+        if i == len(steps):
+            key = tuple(labels[:nb])
+            out[key] = out.get(key, 0) + acc
+            return
+        bound, free, index = steps[i]
+        for values, w in index.get(tuple(labels[p] for p in bound), ()):
+            for p, label in zip(free, values):
+                labels[p] = label
+            visit(i + 1, acc * w)
+
+    visit(0, 1)
+    return out, den
 
 
 # ---------------------------------------------------------------------------

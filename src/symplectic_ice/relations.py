@@ -1,10 +1,12 @@
 """Machine verification of the local identities satisfied by the models.
 
 Every verifier sweeps all boundary label combinations of a pair of wiring
-diagrams at one exact parameter point and compares the two sides by exact
-rational equality; there is no tolerance anywhere in this module.  A
-report collects the sweep size and every failing boundary with both
-values, so a single failure yields a minimal counterexample.
+diagrams at one exact parameter point and compares the two sides exactly:
+each side is an integer total over one common denominator
+(``diagram.contract``), and the comparison cross-multiplies integers.
+There is no tolerance anywhere in this module.  A report collects the
+sweep size and every failing boundary with both values as Fractions, so a
+single failure yields a minimal counterexample.
 
 Color reductions follow the structure of the identities: crossing weights
 depend only on the relative order of the labels, and color conservation
@@ -26,8 +28,6 @@ from . import diagram as dg
 from .rationals import ParamPoint, SamplingError, zprime
 from .weights import Family, Model, UsageError
 
-ZERO = Fraction(0)
-
 
 @dataclass
 class RelationReport:
@@ -48,22 +48,26 @@ class RelationReport:
                               self.combos_tested + other.combos_tested,
                               self.failures + other.failures)
 
-    def add_sweep(self, point, lhs: dict, rhs: dict, n_combos: int, scale=1):
-        """Compare two boundary->value maps; record mismatches."""
-        self.points_tested += 1
-        self.combos_tested += n_combos
-        for key in sorted(set(lhs) | set(rhs)):
-            a = lhs.get(key, ZERO)
-            b = rhs.get(key, ZERO)
-            if a != scale * b:
-                self.failures.append((point, key, a, scale * b))
-
 
 def _sweep(diag_l, diag_r, q, report, point, scale=1):
-    lhs = diag_l.evaluate_all(q)
-    rhs = diag_r.evaluate_all(q)
-    combos = len(diag_l.alphabet) ** len(diag_l.boundary)
-    report.add_sweep(point, lhs, rhs, combos, scale)
+    """Compare ``lhs == scale * rhs`` at every boundary; record mismatches.
+
+    Both sides come from ``diagram.contract`` as integer totals over one
+    denominator each, so ``a/dl == s * b/dr`` is tested as the integer
+    equation ``a * dr * s.den == b * dl * s.num``.  A failing boundary
+    records both values as Fractions.
+    """
+    lhs, dl = dg.contract(diag_l, q)
+    rhs, dr = dg.contract(diag_r, q)
+    s = Fraction(scale)
+    left, right = dr * s.denominator, dl * s.numerator
+    report.points_tested += 1
+    report.combos_tested += len(diag_l.alphabet) ** len(diag_l.boundary)
+    for key in sorted(set(lhs) | set(rhs)):
+        a = lhs.get(key, 0)
+        b = rhs.get(key, 0)
+        if a * left != b * right:
+            report.failures.append((point, key, Fraction(a, dl), s * Fraction(b, dr)))
 
 
 def _check_not_singular(value, what):

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symplectic_ice import acceptance, cli
+from symplectic_ice import diagram as dg
+from symplectic_ice import relations as rel
 from symplectic_ice import dynamics, weights
 from symplectic_ice import functional as fn
 from symplectic_ice.lattice import (LatticeSpec, Partition, SignedPermutation,
@@ -127,6 +129,49 @@ def test_verify_corrupted_preset_exits_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--relation", "ybe-gg", "--points", "2")
     assert code == 1
     assert "FAIL" in out and "counterexample" in out
+
+
+def _double_caduceus_scalar(monkeypatch):
+    true_scalar = dg.caduceus_scalar
+    monkeypatch.setattr(dg, "caduceus_scalar", lambda zi, zj, q: 2 * true_scalar(zi, zj, q))
+
+
+def _bump_crossing_entry(monkeypatch):
+    # one Gamma-Gamma crossing entry of the braid side, with a new denominator
+    true_table = dg.pattern_table
+
+    def bumped(model, family, params, q, letters):
+        table = true_table(model, family, params, q, letters)
+        if family is Family.R_GAMMA_GAMMA:
+            table = {**table, (0, -1, -1, 0): table[(0, -1, -1, 0)] + F(1, 7)}
+        return table
+
+    monkeypatch.setattr(dg, "pattern_table", bumped)
+
+
+@pytest.mark.parametrize("corrupt", [_double_caduceus_scalar, _bump_crossing_entry])
+def test_failing_sweep_records_exact_sides(capsys, monkeypatch, corrupt):
+    # the sweep compares integer numerators; a failing boundary still
+    # records lhs and scale * rhs as the exact Fraction values of its sides
+    corrupt(monkeypatch)
+    pt = acceptance.RELATIONS["caduceus-reflecting"].draw(acceptance.DEFAULT_SEED)
+    zi, zj, q = pt.z[0], pt.z[1], pt.q
+    report = rel.verify_caduceus(pt, "reflecting")
+    lhs = dg.caduceus_lhs(Model.UNCOLORED_REFLECTING, zi, zj).evaluate_all(q)
+    rhs = dg.caduceus_rhs(Model.UNCOLORED_REFLECTING).evaluate_all(q)
+    scale = dg.caduceus_scalar(zi, zj, q)
+    assert report.failures
+    for point, key, a, b in report.failures:
+        assert point == pt and type(a) is F and type(b) is F
+        assert a == lhs.get(key, F(0)) and b == scale * rhs.get(key, F(0)) and a != b
+    code, out, _ = run(capsys, "verify", "--relation", "caduceus-reflecting",
+                       "--points", "1", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    payload.pop("config")
+    jsonschema.validate(payload, load_schema("relation_report.schema.json"))
+    assert [(f["boundary"], f["lhs"], f["rhs"]) for f in payload["failures"]] == [
+        (list(key), cli.fmt_rat(a), cli.fmt_rat(b)) for _, key, a, b in report.failures[:10]]
 
 
 def test_verify_false_global_law_reports_case_and_sides(capsys, monkeypatch):
@@ -340,6 +385,19 @@ def test_invalid_counts_and_flags_exit_two(capsys, tmp_path, argv):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("config", [("--conf=/nonexistent/dir/p.cfg",), ("--conf", "FULL")])
+def test_abbreviated_top_level_config_exits_two(tmp_path, config):
+    # the top-level parser takes no abbreviations: main reads --config
+    # itself, so an abbreviated --conf must not run with its file unread
+    cfg = tmp_path / "full.cfg"
+    cfg.write_text("model = reflecting\nn = 1\nL = 1\nlambda = 0\nz = 1/2\nq = 2\n")
+    argv = [str(cfg) if arg == "FULL" else arg for arg in config] + [
+        "partition", "--model", "reflecting", "--n", "1", "--L", "1", "--lambda", "0",
+        "--z", "1/2", "--q", "2"]
+    code, err = exit_code_and_stderr(argv)
+    assert code == 2 and "error:" in err and "Traceback" not in err
 
 
 def test_render_ascii_and_svg(capsys):

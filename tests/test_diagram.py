@@ -56,6 +56,76 @@ def test_evaluate_matches_independent_sum():
         assert values.get(boundary, F(0)) == brute(boundary)
 
 
+def brute_tensor(diag, q):
+    """``(values, weights)``: every boundary value of ``diag`` as a Fraction
+    sum over all labelings of its slots of products of ``vertex_weight``,
+    and the vertex weights met, by (node, edges).  Labels are chosen node
+    by node over the whole alphabet; a labeling is dropped as soon as one
+    of its factors is 0."""
+    nb = len(diag.boundary)
+    slot = {end: k for k, end in enumerate(diag.boundary)}
+    for k, (p, r) in enumerate(diag.edges):
+        slot[p] = slot[r] = nb + k
+    nodes = [[slot[(i, s)] for s in range(node.nslots)] for i, node in enumerate(diag.nodes)]
+    weights, values, labels = {}, {}, {}
+
+    def visit(i, value):
+        if i == len(nodes):
+            key = tuple(labels[k] for k in range(nb))
+            values[key] = values.get(key, F(0)) + value
+            return
+        new = [p for p in dict.fromkeys(nodes[i]) if p not in labels]
+        for chosen in itertools.product(diag.alphabet, repeat=len(new)):
+            labels.update(zip(new, chosen))
+            edges = tuple(labels[p] for p in nodes[i])
+            if (i, edges) not in weights:
+                node = diag.nodes[i]
+                weights[i, edges] = vertex_weight(diag.model, node.family, edges, node.params, q)
+            if weights[i, edges] != 0:
+                visit(i + 1, value * weights[i, edges])
+        for p in new:
+            del labels[p]
+
+    visit(0, F(1))
+    return values, weights
+
+
+@pytest.mark.parametrize("sides, letters", [
+    # the signed cap braid on 5 labels and a positive Delta-Delta crossing
+    # pair on 4: both have negative vertex weights at these points
+    ((dg.reflection_lhs, dg.reflection_rhs), (-2, -1, 0, 1, 2)),
+    ((lambda m, n, zi, zj: dg.ybe_left(m, n, Family.DELTA, Family.DELTA, zi, zj),
+      lambda m, n, zi, zj: dg.ybe_right(m, n, Family.DELTA, Family.DELTA, zi, zj)), (0, 1, 2, 3)),
+])
+def test_colored_values_match_brute_force(sides, letters):
+    model = Model.COLORED_SIGNED if min(letters) < 0 else Model.COLORED_POSITIVE
+    pt = sample_point(2, 21)
+    for side in sides:
+        diag = side(model, max(map(abs, letters)), pt.z[0], pt.z[1]).restricted(letters)
+        values = diag.evaluate_all(pt.q)
+        expected, weights = brute_tensor(diag, pt.q)
+        assert min(weights.values()) < 0
+        for boundary in itertools.product(letters, repeat=len(diag.boundary)):
+            assert values.get(boundary, F(0)) == expected.get(boundary, F(0)), boundary
+
+
+def test_zero_listed_weight_keys_and_order():
+    # at z_i = z_j the straight Gamma-Gamma crossing weights are 0: no
+    # labeling through them is walked, so the boundaries only they reach
+    # are not keys, and the rest come in the order the sweep reaches them
+    z, q = F(1, 3), F(2)
+    assert dg.pattern_table(UR, Family.R_GAMMA_GAMMA, (z, z), q, (-1, 0))[(-1, 0, -1, 0)] == 0
+    values = dg.ybe_left(UR, 1, Family.GAMMA, Family.GAMMA, z, z).evaluate_all(q)
+    assert list(values) == [
+        (-1, -1, -1, -1, -1, -1), (-1, -1, 0, -1, -1, 0), (-1, -1, 0, -1, 0, -1),
+        (-1, -1, 0, 0, -1, -1), (-1, 0, -1, 0, -1, -1), (-1, 0, -1, -1, -1, 0),
+        (-1, 0, -1, -1, 0, -1), (-1, 0, 0, 0, -1, 0), (-1, 0, 0, 0, 0, -1),
+        (0, -1, -1, -1, 0, -1), (0, -1, -1, -1, -1, 0), (0, -1, 0, -1, 0, 0),
+        (0, -1, 0, 0, 0, -1), (0, -1, 0, 0, -1, 0), (0, 0, -1, 0, 0, -1),
+        (0, 0, -1, 0, -1, 0), (0, 0, -1, -1, 0, 0), (0, 0, 0, 0, 0, 0)]
+    assert all(type(value) is F for value in values.values())
+
+
 def test_boundary_sum_closure():
     # summing a stochastic node's diagram over outputs with inputs fixed
     # gives 1: single Gamma vertex, inputs (left, top)
