@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .rationals import DomainError, zprime
 from .weights import Family, Model, alphabet, pattern_table
 
 MAX_INTERNAL_EDGES = 12
@@ -253,9 +254,17 @@ def caduceus_rhs(model: Model) -> WiringDiagram:
 
 
 def caduceus_scalar(zi, zj, q) -> Fraction:
-    """The exact proportionality factor between the two caduceus sides."""
-    num = (q * zi * zj - 1) * (1 - (q + 1) * (zi + zj) + (q * q + q + 1) * zi * zj)
+    """The exact proportionality factor between the two caduceus sides.
+
+    Its denominator ``q (z_i + z_j - (q+1) z_i z_j)^2`` vanishes where
+    the R_DELTA_GAMMA(z_i, z_j) node does, since z_i + z_j - (q+1) z_i z_j
+    = z_i (1 - z_i' z_j); there it raises DomainError.
+    """
     den = q * (zi + zj - (q + 1) * zi * zj) ** 2
+    if den == 0:
+        raise DomainError(f"singular point: caduceus factor and {Family.R_DELTA_GAMMA.value} "
+                          f"weights undefined at ({zi}, {zj}), q = {q}")
+    num = (q * zi * zj - 1) * (1 - (q + 1) * (zi + zj) + (q * q + q + 1) * zi * zj)
     return num / den
 
 
@@ -275,14 +284,20 @@ def fish_rhs(model: Model) -> WiringDiagram:
 
 
 def fish_scalar(model: Model, z, q) -> Fraction:
-    """Proportionality factor of the fish relation for the given cap choice."""
-    from .rationals import zprime
+    """Proportionality factor of the fish relation for the given cap choice.
+
+    Absorbing: 1.  Reflecting: -(z' - (q+1) z z' + q z) / (z' - (q+1) + q z),
+    defined at z' = 0.  Its denominator q z - 1/z vanishes where the
+    R_FISH(z) node does; there it raises DomainError.
+    """
     if model is Model.UNCOLORED_ABSORBING:
         return ONE
     zp = zprime(z, q)
-    num = 1 - (q + 1) * z + q * z / zp
-    den = 1 - (q + 1) / zp + q * z / zp
-    return -num / den
+    den = zp - (q + 1) + q * z
+    if den == 0:
+        raise DomainError(f"singular point: fish factor and {Family.R_FISH.value} "
+                          f"weights undefined at ({z}), q = {q}")
+    return -(zp - (q + 1) * z * zp + q * z) / den
 
 
 def reflection_lhs(model: Model, n: int, zi, zj) -> WiringDiagram:

@@ -60,7 +60,7 @@ from .lattice import (Configuration, LatticeSpec, boundary_assignment,
                       bottom_outcome, bottom_row_outcome, integer_row_tables,
                       step_table, sweep_vertex)
 from .rationals import in_stochastic_regime
-from .weights import Family, cap_map, vertex_weight
+from .weights import STOCHASTIC_INPUT_SLOTS, Family, cap_map, vertex_weight
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -114,7 +114,8 @@ def _conditional_tables(spec: LatticeSpec):
     rows = []
     for r, (table, den) in enumerate(zip(tables, dens), start=1):
         conditional = {}
-        for (cur, top), entries in step_table(table, 2 if r % 2 else 0, 1).items():
+        slots = STOCHASTIC_INPUT_SLOTS[Family.DELTA if r % 2 else Family.GAMMA]
+        for (cur, top), entries in step_table(table, *slots).items():
             entries = sorted(entries, key=lambda entry: entry[0] != cur)
             total = sum(w for _, _, w in entries)
             if total != den:
@@ -465,11 +466,11 @@ def exact_outcome_probabilities(spec: LatticeSpec) -> dict:
     words = {tuple(bnd.top): 1}
     for i in range(spec.n, 0, -1):
         front = {(word, bnd.left[2 * i - 1]): p for word, p in words.items()}
-        gamma = step_table(tables[2 * i - 1], 0, 1)
+        gamma = step_table(tables[2 * i - 1], *STOCHASTIC_INPUT_SLOTS[Family.GAMMA])
         for c in range(L, 0, -1):
             front = sweep_vertex(front, gamma, c - 1)
         front = {(word, cap_map(spec.model, h)): p for (word, h), p in front.items()}
-        delta = step_table(tables[2 * i - 2], 2, 1)
+        delta = step_table(tables[2 * i - 2], *STOCHASTIC_INPUT_SLOTS[Family.DELTA])
         for c in range(1, L + 1):
             front = sweep_vertex(front, delta, c - 1)
         words = {word: p for (word, left), p in front.items() if left == bnd.left[2 * i - 2]}

@@ -51,6 +51,11 @@ once per call and serves lattice rows, wiring-diagram nodes and
 ``stochastic_row_sums``, and ``vertex_weight`` is the same listing
 restricted to one pattern.
 
+The rules are the one place that knows where a family is undefined:
+where its rule divides by zero, ``pattern_table`` and ``vertex_weight``
+raise ``DomainError`` naming the family and the point.  Weight-1 and
+unlisted patterns need no rule and keep their values there.
+
 All tables are pure functions of immutable arguments; share freely across
 threads.
 """
@@ -60,7 +65,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
-from .rationals import zprime
+from .rationals import DomainError, zprime
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -292,15 +297,25 @@ def _listed_patterns(model: Model, family: Family, letters):
                 yield (a, a, a, a), None
 
 
-def _rule(model: Model, family: Family, params) -> tuple:
-    """``(rule, params)`` for the family, once the parameters are checked."""
-    rule, arity, _ = _RULES[family]
+def _checked_params(model: Model, family: Family, params) -> tuple:
+    """``params`` as a tuple, once checked against the family."""
     params = tuple(params)
+    arity = _RULES[family][1]
     if len(params) != arity:
         raise UsageError(f"{family.value} takes {arity} parameter(s), got {len(params)}")
     if family is Family.R_GAMMA_DELTA and model.colored:
         raise UsageError("the colored families have no Gamma-Delta crossing")
-    return rule, params
+    return params
+
+
+def _class_weights(family: Family, params, q) -> tuple:
+    """The family rule's four class weights; DomainError where the rule
+    divides by zero (``zprime`` at z = 0 included)."""
+    try:
+        return _RULES[family][0](*params, q)
+    except (ZeroDivisionError, DomainError):
+        raise DomainError(f"singular point: {family.value} weights undefined at "
+                          f"({', '.join(map(str, params))}), q = {q}") from None
 
 
 def pattern_table(model: Model, family: Family, params, q, letters) -> dict:
@@ -311,16 +326,17 @@ def pattern_table(model: Model, family: Family, params, q, letters) -> dict:
     every other pattern has weight exactly 0.  The family's order-class
     rule is evaluated at most once per call, and listed patterns whose
     weight is 0 at a degenerate parameter point are kept.  Edge tuples and
-    ``params`` are as in ``vertex_weight``.
+    ``params`` are as in ``vertex_weight``.  Raises DomainError where the
+    rule divides by zero, unless every listed pattern weighs 1.
     """
-    rule, params = _rule(model, family, params)
+    params = _checked_params(model, family, params)
     table, classes = {}, None
     for edges, order in _listed_patterns(model, family, letters):
         if order is None:
             table[edges] = ONE
             continue
         if classes is None:
-            classes = rule(*params, q)
+            classes = _class_weights(family, params, q)
         table[edges] = classes[order]
     return table
 
@@ -340,13 +356,14 @@ def vertex_weight(model: Model, family: Family, edges, params, q) -> Fraction:
         CAP/NEW_CAP       ()
 
     The pattern is looked up in the listing over its own labels, so the
-    rule runs only for a listed pattern that is not all-equal.
+    rule runs only for a listed pattern that is not all-equal, and only
+    such a pattern raises DomainError where the rule divides by zero.
     """
-    rule, params = _rule(model, family, params)
+    params = _checked_params(model, family, params)
     edges = tuple(edges)
     for listed, order in _listed_patterns(model, family, tuple(dict.fromkeys(edges))):
         if listed == edges:
-            return ONE if order is None else rule(*params, q)[order]
+            return ONE if order is None else _class_weights(family, params, q)[order]
     return ZERO
 
 

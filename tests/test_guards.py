@@ -8,8 +8,12 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 SCRIPT = """
+from fractions import Fraction
+
 from symplectic_ice.dynamics import SampleSummary, SamplerSoundnessError
+from symplectic_ice.rationals import DomainError
 from symplectic_ice.relations import RelationReport
+from symplectic_ice.weights import Family, Model, pattern_table
 
 assert False, "this script must run with assertions stripped"
 try:
@@ -26,6 +30,14 @@ except SamplerSoundnessError:
     pass
 else:
     raise SystemExit("a histogram missing a sample did not raise")
+try:
+    # 1 - z_i' z_j = 0 with z_i' = 5/6 at z_i = 2/5, q = 7/3
+    pattern_table(Model.UNCOLORED_REFLECTING, Family.R_DELTA_GAMMA,
+                  (Fraction(2, 5), Fraction(6, 5)), Fraction(7, 3), (-1, 0))
+except DomainError:
+    pass
+else:
+    raise SystemExit("a singular crossing table did not raise")
 print("guards raised")
 """
 

@@ -5,7 +5,7 @@ import pytest
 from symplectic_ice import diagram as dg
 from symplectic_ice import relations as rel
 from symplectic_ice import weights
-from symplectic_ice.rationals import SamplingError, sample_point, zprime
+from symplectic_ice.rationals import DomainError, ParamPoint, sample_point, zprime
 from symplectic_ice.weights import Family, Model, UsageError
 
 G, D = Family.GAMMA, Family.DELTA
@@ -34,7 +34,7 @@ def test_ybe_lemma_singular_rejected():
     # 1 - (q+1) t1 + q t1 t2 = 0
     q, t1 = F(2), F(1, 4)
     t2 = ((q + 1) * t1 - 1) / (q * t1)
-    with pytest.raises(SamplingError):
+    with pytest.raises(DomainError, match="r-lemma"):
         rel.verify_ybe_lemma(t1, t2, q)
 
 
@@ -51,12 +51,30 @@ def test_caduceus_scalar_spot_value():
     assert dg.caduceus_scalar(F(1, 2), F(1, 3), F(2)) == 1
 
 
+def test_scalars_refuse_their_singular_locus():
+    # z_i + z_j - (q+1) z_i z_j = 1/3 + 1 - 4/3 = 0, the R_DELTA_GAMMA(z_i, z_j) locus
+    with pytest.raises(DomainError, match="r-dg"):
+        dg.caduceus_scalar(F(1, 3), F(1), F(3))
+    # q z - 1/z = 2 - 2 = 0, the R_FISH(z) locus
+    with pytest.raises(DomainError, match="r-fish"):
+        dg.fish_scalar(Model.UNCOLORED_REFLECTING, F(1, 2), F(4))
+
+
 @pytest.mark.parametrize("cap", ["reflecting", "absorbing"])
 def test_fish(cap):
     for seed in range(3):
         rep = rel.verify_fish(sample_point(1, seed), cap)
         assert rep.passed
         assert rep.combos_tested == 4
+
+
+@pytest.mark.parametrize("cap", ["reflecting", "absorbing"])
+@pytest.mark.parametrize("q", [F(2), F(1, 3), F(7, 5)])
+def test_fish_where_zprime_vanishes(cap, q):
+    # z = 1/(q+1) gives z' = 0; the reflecting factor is defined there
+    z = 1 / (q + 1)
+    assert zprime(z, q) == 0
+    assert rel.verify_fish(ParamPoint((z,), q), cap).passed
 
 
 def test_fish_boundary_values():
@@ -132,6 +150,14 @@ def test_reflection(model):
         assert rep.passed
     assert rel.verify_reflection("signed", sample_point(2, 9)).combos_tested == 5 ** 4
     assert rel.verify_reflection("positive", sample_point(2, 9)).combos_tested == 3 ** 4
+
+
+@pytest.mark.parametrize("model", ["signed", "positive"])
+def test_reflection_ignores_crossings_it_does_not_contract(model):
+    # with z' = (1/2, -1/2), R_DD(z_1, z_2) is singular: q - (q+1) z_1' + z_1' z_2'
+    # = 3/2 - 5/4 - 1/4 = 0; the diagrams contract only R_DD(z_2, z_1), defined here
+    pt = ParamPoint((F(1, 2), F(1, 3)), F(3, 2))
+    assert rel.verify_reflection(model, pt).passed
 
 
 def test_reflection_paranoid_alphabets():
