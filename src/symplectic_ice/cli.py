@@ -29,7 +29,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from functools import partial, reduce
+from functools import cache, partial, reduce
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from . import acceptance
 from . import relations as rel
 from .dynamics import (ESCAPE, POOLED, SamplerConfig, SamplerSoundnessError,
                        compare_empirical_to_exact, exact_outcome_probabilities,
-                       run_sampler, trajectory_from_rows)
+                       group_rows, run_sampler, trajectory_from_rows)
 from .lattice import (LatticeSpec, Partition, SignedPermutation, SpecError, bottom_row_outcome,
                       count_states, enumerate_states, partition_function)
 from .rationals import DomainError, ParamPoint, SamplingError
@@ -202,18 +202,17 @@ def _trajectory_writer(fh, model):
     sorted; samples alike within a chunk share all of the line but the index."""
     def write(first, labels, escaped):
         rows, L, m = labels.shape
-        found, inverse = np.unique(np.column_stack((labels.reshape(-1, m).T, escaped)),
-                                   axis=0, return_inverse=True)
+        table = np.column_stack((labels.reshape(-1, m).T, escaped))
+        groups, inverse, _ = group_rows(table)
         heads, tails = [], []
-        for *flat, escape in found.tolist():
+        for *flat, escape in table[groups].tolist():
             vert = [flat[r * L:(r + 1) * L] for r in range(rows)]
             key = ESCAPE if escape else bottom_row_outcome(model, vert[0])
             heads.append('{"escaped": ' + json.dumps(bool(escape)) + ', "index": ')
             tails.append(', "outcome": ' + json.dumps(outcome_str(key)) + ', "trajectory": '
                          + json.dumps(trajectory_from_rows(vert)) + "}\n")
-        # ravel: in some numpy 2.0.x releases this inverse is not 1-D
         fh.writelines(heads[k] + str(index) + tails[k]
-                      for index, k in enumerate(inverse.ravel().tolist(), first))
+                      for index, k in enumerate(inverse.tolist(), first))
     return write
 
 
@@ -334,7 +333,11 @@ def _spec_flags(p, fixed_bottom=True):
     p.add_argument("--q", required=True, help="deformation parameter, e.g. 2 or 1/2")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: it reads only constants, and parsing
+    leaves it unchanged (``--config`` values go into argv, not into it).
+    """
     # no abbreviations at the top level: main reads --config itself, so
     # --conf must be an unknown flag rather than an unread --config
     ap = argparse.ArgumentParser(prog="symplectic-ice",

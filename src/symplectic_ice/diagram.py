@@ -113,10 +113,10 @@ class WiringDiagram:
         return {key: Fraction(total, den) for key, total in totals.items()}
 
 
-def contract(diag: WiringDiagram, q, frozen=None) -> tuple:
+def contract(diag: WiringDiagram, q, frozen=None, tables=None) -> tuple:
     """``(totals, den)``: the boundary tensor of ``diag`` on integer weights.
 
-    Each node's ``pattern_table`` is built once per call and multiplied by
+    Each distinct node's ``pattern_table`` is built once and multiplied by
     D, the least common multiple of its weights' denominators, then indexed
     by the labels the node shares with slots set before it (frozen boundary
     stubs, edges to earlier nodes).  One depth-first sweep over the nodes
@@ -126,6 +126,11 @@ def contract(diag: WiringDiagram, q, frozen=None) -> tuple:
     ``totals[key] / den`` with ``den`` the product of the node D's.
     ``totals`` holds every boundary that some labeling reaches, in the
     order the sweep first reaches it; with ``frozen`` set, only that one.
+
+    The scaled tables are kept in ``tables`` by node.  A caller may pass
+    one dict to several contractions of the same model, alphabet and q, so
+    that the nodes they share are built once; by default it lives for this
+    call only.
     """
     nb = len(diag.boundary)
     labels = [None] * (nb + len(diag.edges))
@@ -133,21 +138,28 @@ def contract(diag: WiringDiagram, q, frozen=None) -> tuple:
     if frozen is not None:
         labels[:nb] = frozen
         known.update(range(nb))
+    if tables is None:
+        tables = {}
     steps = []   # per node: (positions set before it, its free positions, index)
     den = 1
     for i, node in enumerate(diag.nodes):
         positions = tuple(diag._slot_pos[(i, s)] for s in range(node.nslots))
         bound = [p for p in dict.fromkeys(positions) if p in known]
         free = [p for p in dict.fromkeys(positions) if p not in known]
-        table = pattern_table(diag.model, node.family, node.params, q, diag.alphabet)
-        d = math.lcm(*(w.denominator for w in table.values()))
+        built = tables.get(node)
+        if built is None:
+            table = pattern_table(diag.model, node.family, node.params, q, diag.alphabet)
+            d = math.lcm(*(w.denominator for w in table.values()))
+            built = tables[node] = d, [(edges, w.numerator * (d // w.denominator))
+                                       for edges, w in table.items() if w != 0]
+        d, scaled = built
         den *= d
         index: dict = {}
-        for edges, w in table.items():
+        for edges, w in scaled:
             at = dict(zip(positions, edges))   # two slots on one edge must agree
-            if w != 0 and tuple(at[p] for p in positions) == edges:
+            if tuple(at[p] for p in positions) == edges:
                 index.setdefault(tuple(at[p] for p in bound), []).append(
-                    (tuple(at[p] for p in free), w.numerator * (d // w.denominator)))
+                    (tuple(at[p] for p in free), w))
         steps.append((bound, free, index))
         known.update(positions)
     out: dict = {}

@@ -26,7 +26,8 @@ The conditional laws are the rows of ``lattice.integer_row_tables``.
 up to ``_CHUNK`` samples at once, the hash chain split so that only its
 column round runs per vertex, and every vertex writes its outputs into
 the chunk's edge arrays.  The histogram of ``run_sampler`` is read off
-their bottom row and each Delta row's last output; the per-chunk
+their bottom row and each Delta row's last output, equal rows grouped by
+``group_rows`` on packed integer keys; the per-chunk
 ``each`` hook of ``run_sampler`` (which ``sample --trajectories`` uses)
 reads their vertical labels, and ``Sampler.sample`` the one
 ``Configuration`` of a one-sample sweep.  Because the generator is
@@ -58,7 +59,7 @@ from scipy.stats import chi2
 
 from .lattice import (Configuration, LatticeSpec, boundary_assignment,
                       bottom_outcome, bottom_row_outcome, integer_row_tables,
-                      step_table, sweep_vertex)
+                      row_family, step_table, sweep_vertex)
 from .rationals import in_stochastic_regime
 from .weights import STOCHASTIC_INPUT_SLOTS, Family, cap_map, vertex_weight
 
@@ -114,7 +115,7 @@ def _conditional_tables(spec: LatticeSpec):
     rows = []
     for r, (table, den) in enumerate(zip(tables, dens), start=1):
         conditional = {}
-        slots = STOCHASTIC_INPUT_SLOTS[Family.DELTA if r % 2 else Family.GAMMA]
+        slots = STOCHASTIC_INPUT_SLOTS[row_family(r)]
         for (cur, top), entries in step_table(table, *slots).items():
             entries = sorted(entries, key=lambda entry: entry[0] != cur)
             total = sum(w for _, _, w in entries)
@@ -226,6 +227,40 @@ def _pick(limits, keys, u):
     return k
 
 
+def group_rows(rows):
+    """``(first, inverse, counts)`` for the distinct rows of a 2-D integer
+    array of m rows: group g is the row ``rows[first[g]]`` and holds
+    ``counts[g]`` rows, row i is in group ``inverse[i]`` (always 1-D), and
+    groups are numbered in order of first occurrence.
+
+    The labels are shifted to start at 0 and packed, b bits each, into one
+    int64 key per row: each pass packs as many columns as fit beside a key
+    below m (``m.bit_length()`` bits), and between passes a 1-D
+    ``np.unique`` re-ranks the keys to 0..m-1, so rows of any width are
+    grouped exactly by one integer sort per pass.  The labels must span
+    fewer than 2 ** (63 - m.bit_length()) values.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    m, k = rows.shape
+    if rows.size:
+        rows = rows - rows.min()
+    bits = max(int(rows.max(initial=0)).bit_length(), 1)
+    width = (63 - m.bit_length()) // bits
+    # reshape(m): in some numpy 2.0.x releases an inverse is not 1-D
+    key = np.zeros(m, dtype=np.int64)
+    for lo in range(0, k, width):
+        if lo:
+            key = np.unique(key, return_inverse=True)[1].reshape(m)
+        for column in rows[:, lo:lo + width].T:
+            key = (key << bits) | column
+    _, first, inverse, counts = np.unique(key, return_index=True, return_inverse=True,
+                                          return_counts=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse.reshape(m)], counts[order]
+
+
 class Sampler:
     """The seeded sampler of one spec: one sweep over sample indices.
 
@@ -263,7 +298,7 @@ class Sampler:
         limits, outs, bottoms, K = self.rows[r - 1]
         A, L = len(self.letters), self.spec.L
         u = _mix_round(_mix_round(h_index, _U64(r)), self.columns)
-        gamma = r % 2 == 0
+        gamma = row_family(r) is Family.GAMMA
         if gamma:
             hor[r, L] = self.left[r - 1]
         else:
@@ -300,10 +335,10 @@ class Sampler:
         row (or ESCAPE), keys in the order of their first sample."""
         escaped = self._escaped(hor)
         kept = np.flatnonzero(~escaped)
-        rows, first, counts = np.unique(vert[0][:, kept].T, axis=0,
-                                        return_index=True, return_counts=True)
-        found = [(kept[f], bottom_row_outcome(self.spec.model, self.letters[row].tolist()), n)
-                 for row, f, n in zip(rows, first, counts)]
+        groups, _, counts = group_rows(vert[0][:, kept].T)
+        first = kept[groups]
+        found = [(f, bottom_row_outcome(self.spec.model, self.letters[row].tolist()), n)
+                 for f, row, n in zip(first, vert[0][:, first].T, counts)]
         escapes = np.flatnonzero(escaped)
         if escapes.size:
             found.append((escapes[0], ESCAPE, escapes.size))
@@ -377,10 +412,9 @@ def configuration_weight(spec: LatticeSpec, config: Configuration) -> Fraction:
     q = spec.point.q
     w = ONE
     for r in range(1, 2 * spec.n + 1):
-        fam = Family.GAMMA if r % 2 == 0 else Family.DELTA
         z = spec.point.z[(r + 1) // 2 - 1]
         for c in range(1, spec.L + 1):
-            w *= vertex_weight(spec.model, fam, config.vertex_edges(r, c), (z,), q)
+            w *= vertex_weight(spec.model, row_family(r), config.vertex_edges(r, c), (z,), q)
     return w
 
 

@@ -233,7 +233,7 @@ def boundary_assignment(spec: LatticeSpec) -> Boundary:
     """Boundary labels determined by (lambda, sigma, tau) and the family."""
     left = []
     for r in range(1, 2 * spec.n + 1):
-        if r % 2 == 1:
+        if row_family(r) is Family.DELTA:
             left.append(0)
         else:
             i = r // 2
@@ -259,7 +259,9 @@ class Configuration:
         return (self.hor[r][c], self.vert[r][c - 1], self.hor[r][c - 1], self.vert[r - 1][c - 1])
 
 
-def _row_family(r: int) -> Family:
+def row_family(r: int) -> Family:
+    """The family of row r: Gamma for even r, Delta for odd r (row 2i is
+    the Gamma row of pair i, the row below it its Delta row)."""
     return Family.GAMMA if r % 2 == 0 else Family.DELTA
 
 
@@ -271,7 +273,7 @@ def row_weight_tables(spec: LatticeSpec) -> tuple:
     0 at a degenerate point are kept, so that enumeration still counts
     their states; the transfer skips them.
     """
-    return tuple(pattern_table(spec.model, _row_family(r), (spec.point.z[(r - 1) // 2],),
+    return tuple(pattern_table(spec.model, row_family(r), (spec.point.z[(r - 1) // 2],),
                                spec.point.q, spec.alphabet)
                  for r in range(1, 2 * spec.n + 1))
 
@@ -422,7 +424,7 @@ def count_states(spec: LatticeSpec) -> int:
     which patterns are listed matters: no weight is evaluated.
     """
     tables = tuple({edges: 1 for edges, _ in
-                    _listed_patterns(spec.model, _row_family(r), spec.alphabet)}
+                    _listed_patterns(spec.model, row_family(r), spec.alphabet)}
                    for r in range(1, 2 * spec.n + 1))
     return _capped(spec, _column_transfer(spec, tables))
 

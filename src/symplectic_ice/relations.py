@@ -60,10 +60,12 @@ def _sweep(name, diag_l, diag_r, q, point, scale=1) -> RelationReport:
     Both sides come from ``diagram.contract`` as integer totals over one
     denominator each, so ``a/dl == s * b/dr`` is tested as the integer
     equation ``a * dr * s.den == b * dl * s.num``.  A failing boundary
-    records both values as Fractions.
+    records both values as Fractions.  The nodes both sides share are
+    built once, for this sweep only.
     """
-    lhs, dl = dg.contract(diag_l, q)
-    rhs, dr = dg.contract(diag_r, q)
+    tables: dict = {}
+    lhs, dl = dg.contract(diag_l, q, tables=tables)
+    rhs, dr = dg.contract(diag_r, q, tables=tables)
     s = Fraction(scale)
     left, right = dr * s.denominator, dl * s.numerator
     report = RelationReport(name, 1, len(diag_l.alphabet) ** len(diag_l.boundary))

@@ -19,8 +19,8 @@ order (top-to-bottom entry point, caps after left stubs).
 
 from __future__ import annotations
 
-from .lattice import Configuration
-from .weights import Model, UsageError
+from .lattice import Configuration, row_family
+from .weights import Family, Model, UsageError
 
 CELL = 40
 MARGIN = 40
@@ -89,10 +89,10 @@ def trace_strands(config: Configuration):
             steps.append(("vertex", tr, tc))
             # exit through the output edge carrying the strand's color;
             # when both outputs carry it (all-equal pattern) pass straight
-            if tr % 2 == 0:   # Gamma: outputs (right, bottom)
+            if row_family(tr) is Family.GAMMA:   # outputs (right, bottom)
                 outs = (("right", right), ("bottom", bottom))
                 straight = "right" if entered == "left" else "bottom"
-            else:             # Delta: outputs (left, bottom)
+            else:                                # Delta: outputs (left, bottom)
                 outs = (("left", left), ("bottom", bottom))
                 straight = "left" if entered == "right" else "bottom"
             matches = [name for name, lab in outs if lab == color]
@@ -106,7 +106,7 @@ def trace_strands(config: Configuration):
 
     strands = []
     for r in range(n2, 0, -1):
-        if r % 2 == 0 and hor[r][L] != 0:
+        if row_family(r) is Family.GAMMA and hor[r][L] != 0:
             strands.append(run(("H", r, L, "R"), [("enter-left", r)]))
     if model is Model.UNCOLORED_ABSORBING:
         for i in range(config.n, 0, -1):
@@ -131,7 +131,7 @@ def render_ascii(config: Configuration) -> str:
         for k in range(L):
             c = L - k
             chars[len(margin) + 3 + 6 * k] = _edge_glyph(model, config.vert[r][c - 1], True)
-        if 0 < r < n2 and r % 2 == 1:
+        if 0 < r < n2 and row_family(r) is Family.DELTA:
             chars[len(margin) + 3 + 6 * L] = "|"
         return "".join(chars).rstrip()
 
@@ -139,13 +139,14 @@ def render_ascii(config: Configuration) -> str:
     for r in range(n2, 0, -1):
         row = []
         i = (r + 1) // 2
-        kind = "G" if r % 2 == 0 else "D"
+        gamma = row_family(r) is Family.GAMMA
+        kind = "G" if gamma else "D"
         row.append(f"{r:>3} {kind} ")
         row.append(_edge_glyph(model, config.hor[r][L], False) + "--")
         for k in range(L):
             c = L - k
             row.append("+--" + _edge_glyph(model, config.hor[r][c - 1], False) + "--")
-        row.append("\\" if r % 2 == 0 else "/")
+        row.append("\\" if gamma else "/")
         lines.append("".join(row))
         lines.append(vert_line(r - 1))
     lines.append(f"strands: {len(trace_strands(config))}")

@@ -400,6 +400,33 @@ def test_abbreviated_top_level_config_exits_two(tmp_path, config):
     assert code == 2 and "error:" in err and "Traceback" not in err
 
 
+def test_one_parser_serves_every_call(capsys):
+    # main builds its parser once per process: failed parses and other
+    # subcommands in between leave a repeated call's output unchanged
+    sample = ("sample", "--model", "signed", "--n", "2", "--L", "4", "--z", "3/4,4/5",
+              "--q", "1/2", "--sigma=2,-1", "--samples", "300", "--json")
+    partition = ("partition", "--model", "reflecting", "--n", "1", "--L", "1",
+                 "--lambda", "0", "--z", "1/2", "--q", "2")
+    first = run(capsys, *sample)
+    assert first[0] in (0, 1)
+    assert run(capsys, "sample", "--model", "reflecting", "--n", "0", "--L", "1", "--z=",
+               "--q", "1/2")[0] == 2
+    assert exit_code_and_stderr(["--conf=/no/such", *partition])[0] == 2
+    assert run(capsys, *partition)[0] == 0
+    assert run(capsys, *sample) == first
+    assert cli.build_parser() is cli.build_parser()
+    for argv in (["--help"], ["sample", "--help"]):
+        texts = []
+        for parser in (cli.build_parser(), cli.build_parser.__wrapped__()):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        assert capsys.readouterr().out == texts[0] == texts[1] != ""
+
+
 def test_render_ascii_and_svg(capsys):
     base = ("render", "--model", "signed", "--n", "2", "--L", "4",
             "--lambda", "1,0", "--sigma=-1,-2", "--tau", "1,2",

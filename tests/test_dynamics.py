@@ -251,6 +251,47 @@ class TestBatch:
                 assert (outs[slot], bottoms[slot]) == tuple(index[label] for label in entries[k])
 
 
+class TestGroupRows:
+    """``group_rows`` partitions rows exactly as ``np.unique(axis=0)``
+    does, with groups numbered by first occurrence."""
+
+    @staticmethod
+    def rows(m, k, few, seed):
+        rng = np.random.default_rng(seed)
+        if few:
+            return rng.integers(-3, 4, size=(5, k))[rng.integers(0, 5, size=m)]
+        return rng.integers(-3, 4, size=(m, k))
+
+    @pytest.mark.parametrize("m", [0, 1, 37, dynamics._CHUNK])
+    @pytest.mark.parametrize("k", [0, 1, 29, 43])
+    @pytest.mark.parametrize("few", [True, False])
+    def test_equals_unique_rows(self, m, k, few):
+        rows = self.rows(m, k, few, 1000 * m + k)
+        first, inverse, counts = dynamics.group_rows(rows)
+        _, u_first, u_inverse, u_counts = np.unique(
+            rows, axis=0, return_index=True, return_inverse=True, return_counts=True)
+        order = np.argsort(u_first)
+        renumber = np.empty_like(order)
+        renumber[order] = np.arange(order.size)
+        assert inverse.ndim == 1
+        assert first.tolist() == u_first[order].tolist()
+        assert counts.tolist() == u_counts[order].tolist()
+        assert inverse.tolist() == renumber[u_inverse.reshape(-1)].tolist()
+        assert (np.diff(first) > 0).all()
+        assert inverse[first].tolist() == list(range(first.size))
+        if not few and k >= 29:
+            assert first.size == m
+
+    def test_wide_rows_take_several_passes(self, monkeypatch):
+        # 43 labels of 3 bits beside a key of 15 bits: 16 columns per pass
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(dynamics.np, "unique", lambda *a, **kw: calls.append(a) or
+                            unique(*a, **kw))
+        dynamics.group_rows(self.rows(dynamics._CHUNK, 43, False, 7))
+        assert len(calls) >= 3
+
+
 class TestExactness:
     @pytest.mark.parametrize("model", [UR, UA, CS, CP])
     @pytest.mark.parametrize("L", [1, 2])

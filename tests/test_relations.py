@@ -208,3 +208,22 @@ def test_report_merge():
     assert merged.points_tested == 2
     assert merged.combos_tested == 128
     assert merged.passed
+
+
+def test_sweep_builds_each_shared_node_once(monkeypatch):
+    # ybe_left and ybe_right hold the same three nodes; the caduceus caps
+    # appear twice on each side: a sweep builds each distinct table once
+    built = []
+    true_table = dg.pattern_table
+
+    def counted(model, family, params, q, letters):
+        built.append((family, params))
+        return true_table(model, family, params, q, letters)
+
+    monkeypatch.setattr(dg, "pattern_table", counted)
+    point = sample_point(2, 4)
+    assert rel.verify_ybe_uncolored(G, D, point).passed
+    assert len(built) == len(set(built)) == 3
+    built.clear()
+    assert rel.verify_caduceus(point, "reflecting").passed
+    assert len(built) == len(set(built)) == 5
