@@ -277,8 +277,6 @@ class TestGroupRows:
         assert first.tolist() == u_first[order].tolist()
         assert counts.tolist() == u_counts[order].tolist()
         assert inverse.tolist() == renumber[u_inverse.reshape(-1)].tolist()
-        assert (np.diff(first) > 0).all()
-        assert inverse[first].tolist() == list(range(first.size))
         if not few and k >= 29:
             assert first.size == m
 
