@@ -1,17 +1,19 @@
 """The relation registry and the full acceptance battery.
 
 ``RELATIONS`` maps every relation id to how its point is drawn from a
-seed and how it is checked there; ``check_relation`` runs one point.
+seed and how it is checked there; ``check_relation`` runs one point and
+``verify_relation``, the one loop over the registry, merges its points.
 The ``verify`` subcommand (whose ``--relation`` choices are the registry's
-ids) and the criteria below both read the registry, so adding a relation
-is adding one entry.  Criteria 1-6 are ``verify`` of their relations at
-seeds seed + k; criteria 7-10 check their registry relations at their
-own per-point seeds and add the cases only they cover.
+ids) prints that report and the criteria below sum those reports, so
+adding a relation is adding one entry.  Criteria 1-6 are ``verify`` of
+their relations; criteria 7-10 check theirs at their own seed strides
+and add the cases only they cover.
 
-Each criterion function returns a CriterionResult; ``run_suite`` executes
-them in order and reports one line per criterion.  The pytest suite and
-the command-line ``suite`` subcommand both drive exactly this code, so
-"the tests pass" and "the suite passes" cannot drift apart.
+Each criterion body returns (passed, detail); ``_criterion`` times it and
+fails it past its budget, and ``run_suite`` reports one line per
+criterion.  The pytest suite and the command-line ``suite`` subcommand
+both drive exactly this code, so "the tests pass" and "the suite passes"
+cannot drift apart.
 
 All checks are exact except the Monte Carlo criterion, whose tolerances
 (5 standard errors per outcome, aggregate chi-square below the 0.999
@@ -22,10 +24,11 @@ from __future__ import annotations
 
 import itertools
 import random
-import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce, wraps
+from time import perf_counter
 from typing import Callable
 
 from . import functional as fn
@@ -216,76 +219,88 @@ def check_relation(relation: str, seed: int, paranoid: bool = False) -> rel.Rela
     return entry.check(entry.draw(seed), paranoid)
 
 
+def verify_relation(relation: str, seed: int, points: int, stride: int = 1,
+                    paranoid: bool = False, jobs: int = 1) -> rel.RelationReport:
+    """``relation`` at seeds seed + stride * k, k < points, merged in that
+    order; ``jobs`` > 1 checks them in a pool of at most ``points`` processes."""
+    check = partial(check_relation, relation, paranoid=paranoid)
+    seeds = range(seed, seed + stride * points, stride)
+    workers = min(jobs, points)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(check, seeds))
+    else:
+        parts = map(check, seeds)
+    return reduce(rel.RelationReport.merge, parts, rel.RelationReport(relation))
+
+
 def _verify(relations, seed, points, stride=1):
-    """(combos, failures) of each relation at seeds seed + stride * k, k < points;
-    with stride 1 this is ``verify`` of each relation."""
-    combos = failures = 0
-    for relation in relations:
-        for k in range(points):
-            report = check_relation(relation, seed + stride * k)
-            combos += report.combos_tested
-            failures += len(report.failures)
-    return combos, failures
+    """(combos, failures) summed over ``verify_relation`` of each relation."""
+    reports = [verify_relation(relation, seed, points, stride) for relation in relations]
+    return sum(r.combos_tested for r in reports), sum(len(r.failures) for r in reports)
 
 
 # --------------------------------------------------------------------------
 # criteria
 # --------------------------------------------------------------------------
 
-def criterion_1_ybe_uncolored(seed=DEFAULT_SEED, points=20) -> CriterionResult:
-    t0 = time.time()
+def _criterion(number: int, name: str, budget: float | None = None):
+    """Make a body returning ``(passed, detail)`` into criterion ``number``:
+    the body is timed, and a run that takes ``budget`` seconds or more
+    fails.  This is the one place a criterion's duration meets its budget.
+    """
+    def wrap(body):
+        @wraps(body)
+        def criterion(*args, **kwargs) -> CriterionResult:
+            start = perf_counter()
+            passed, detail = body(*args, **kwargs)
+            seconds = perf_counter() - start
+            passed = passed and (budget is None or seconds < budget)
+            return CriterionResult(number, name, passed, detail, seconds, budget)
+        return criterion
+    return wrap
+
+
+@_criterion(1, "uncolored crossing identities", budget=1.0)
+def criterion_1_ybe_uncolored(seed=DEFAULT_SEED, points=20):
     combos, failures = _verify([f"ybe-{p}" for p in _PAIRS], seed, points)
-    dt = time.time() - t0
-    ok = failures == 0 and dt < 1.0
-    return CriterionResult(1, "uncolored crossing identities",
-                           ok, f"{combos} boundary combos, {failures} failures", dt, 1.0)
+    return failures == 0, f"{combos} boundary combos, {failures} failures"
 
 
-def criterion_2_ybe_lemma(seed=DEFAULT_SEED, points=20) -> CriterionResult:
-    t0 = time.time()
+@_criterion(2, "free-parameter crossing identity")
+def criterion_2_ybe_lemma(seed=DEFAULT_SEED, points=20):
     _, failures = _verify(["ybe-lemma"], seed, points)
     # the specialization that realises the fish crossing
     pt = sample_point(1, seed)
     z, q = pt.z[0], pt.q
     failures += len(rel.verify_ybe_lemma(1 / (q * z), zprime(z, q) / q, q).failures)
-    dt = time.time() - t0
-    return CriterionResult(2, "free-parameter crossing identity",
-                           failures == 0, f"{points}+1 parameter triples, {failures} failures", dt)
+    return failures == 0, f"{points}+1 parameter triples, {failures} failures"
 
 
-def criterion_3_caduceus(seed=DEFAULT_SEED, points=20) -> CriterionResult:
-    t0 = time.time()
+@_criterion(3, "braid-vs-caps proportionality")
+def criterion_3_caduceus(seed=DEFAULT_SEED, points=20):
     combos, failures = _verify([f"caduceus-{cap}" for cap in _CAPS], seed, points)
     spot = rel.dg.caduceus_scalar(Fraction(1, 2), Fraction(1, 3), Fraction(2)) == 1
-    dt = time.time() - t0
-    return CriterionResult(3, "braid-vs-caps proportionality",
-                           failures == 0 and spot,
-                           f"{combos} combos, {failures} failures, unit-scalar spot {'ok' if spot else 'BAD'}",
-                           dt)
+    return (failures == 0 and spot,
+            f"{combos} combos, {failures} failures, unit-scalar spot {'ok' if spot else 'BAD'}")
 
 
-def criterion_4_fish(seed=DEFAULT_SEED, points=20) -> CriterionResult:
-    t0 = time.time()
+@_criterion(4, "crossing-cap collapse identity")
+def criterion_4_fish(seed=DEFAULT_SEED, points=20):
     combos, failures = _verify([f"fish-{cap}" for cap in _CAPS], seed, points)
-    dt = time.time() - t0
-    return CriterionResult(4, "crossing-cap collapse identity",
-                           failures == 0, f"{combos} combos, {failures} failures", dt)
+    return failures == 0, f"{combos} combos, {failures} failures"
 
 
-def criterion_5_ybe_colored(seed=DEFAULT_SEED, points=5) -> CriterionResult:
-    t0 = time.time()
+@_criterion(5, "colored crossing identities")
+def criterion_5_ybe_colored(seed=DEFAULT_SEED, points=5):
     combos, failures = _verify([r for r in RELATIONS if r.startswith("ybe-colored-")], seed, points)
-    dt = time.time() - t0
-    return CriterionResult(5, "colored crossing identities",
-                           failures == 0, f"{combos} combos (4^6 per sweep), {failures} failures", dt)
+    return failures == 0, f"{combos} combos (4^6 per sweep), {failures} failures"
 
 
-def criterion_6_reflection(seed=DEFAULT_SEED, points=10) -> CriterionResult:
-    t0 = time.time()
+@_criterion(6, "cap braid (reflection) identities")
+def criterion_6_reflection(seed=DEFAULT_SEED, points=10):
     combos, failures = _verify([f"reflection-{m}" for m in _COLORED], seed, points)
-    dt = time.time() - t0
-    return CriterionResult(6, "cap braid (reflection) identities",
-                           failures == 0, f"{combos} combos, {failures} failures", dt)
+    return failures == 0, f"{combos} combos, {failures} failures"
 
 
 def _uncolored_specs(model, max_L=5):
@@ -303,8 +318,8 @@ def _uncolored_specs(model, max_L=5):
                 yield n, L, Partition(lam)
 
 
-def criterion_7_functional(seed=DEFAULT_SEED, points=10) -> CriterionResult:
-    t0 = time.time()
+@_criterion(7, "normalized Weyl invariance + transfer agreement", budget=30.0)
+def criterion_7_functional(seed=DEFAULT_SEED, points=10):
     # the figure instance, all generators, every point
     checked, failures = _verify([f"weyl-{cap}" for cap in _CAPS], seed, points)
     bad = []
@@ -321,15 +336,12 @@ def criterion_7_functional(seed=DEFAULT_SEED, points=10) -> CriterionResult:
                     if not fn.check_weyl_invariance(spec, (gen,)):
                         bad.append((model.value, n, L, lam.parts, gen, pt))
                     checked += 1
-    dt = time.time() - t0
     failures += len(bad)
-    ok = failures == 0 and dt < 30.0
-    return CriterionResult(7, "normalized Weyl invariance + transfer agreement",
-                           ok, f"{checked} invariance checks, {failures} failures", dt, 30.0)
+    return failures == 0, f"{checked} invariance checks, {failures} failures"
 
 
-def criterion_8_closed_form(seed=DEFAULT_SEED, points=10) -> CriterionResult:
-    t0 = time.time()
+@_criterion(8, "opposite-boundary closed form")
+def criterion_8_closed_form(seed=DEFAULT_SEED, points=10):
     checked, bad = _verify(["closed-form"], seed, points, stride=7)
     # every other (n, L) with n <= 2, L <= 5 at three points
     for n in (1, 2):
@@ -340,22 +352,18 @@ def criterion_8_closed_form(seed=DEFAULT_SEED, points=10) -> CriterionResult:
                 for _, lhs, rhs in _closed_form_cases(sample_point(n, seed + 7 * k), L):
                     checked += 1
                     bad += lhs != rhs
-    dt = time.time() - t0
-    return CriterionResult(8, "opposite-boundary closed form",
-                           bad == 0, f"{checked} (n,L,lambda,sigma,point) cases, {bad} mismatches", dt)
+    return bad == 0, f"{checked} (n,L,lambda,sigma,point) cases, {bad} mismatches"
 
 
-def criterion_9_recursions(seed=DEFAULT_SEED, points=10) -> CriterionResult:
-    t0 = time.time()
+@_criterion(9, "colored recursions (s_i, s_n, positive s_i)")
+def criterion_9_recursions(seed=DEFAULT_SEED, points=10):
     checked, bad = _verify(["recursion-si-signed", "recursion-sn-signed", "recursion-si-positive"],
                            seed, points, stride=13)
-    dt = time.time() - t0
-    return CriterionResult(9, "colored recursions (s_i, s_n, positive s_i)",
-                           bad == 0, f"{checked} hypothesis-satisfying cases, {bad} failures", dt)
+    return bad == 0, f"{checked} hypothesis-satisfying cases, {bad} failures"
 
 
-def criterion_10_demazure_lusztig(seed=DEFAULT_SEED, points=20) -> CriterionResult:
-    t0 = time.time()
+@_criterion(10, "divided-difference operator correspondence")
+def criterion_10_demazure_lusztig(seed=DEFAULT_SEED, points=20):
     bad = []
     rng = random.Random(seed)
     # operator identities at random u-points
@@ -382,13 +390,11 @@ def criterion_10_demazure_lusztig(seed=DEFAULT_SEED, points=20) -> CriterionResu
     # u-form of the recursion coefficients, and the lattice recursion
     _, failures = _verify(["dl-recursion"], seed, points, stride=17)
     failures += len(bad)
-    dt = time.time() - t0
-    return CriterionResult(10, "divided-difference operator correspondence",
-                           failures == 0, f"{failures} failures", dt)
+    return failures == 0, f"{failures} failures"
 
 
-def criterion_11_stochasticity(seed=DEFAULT_SEED, points=100) -> CriterionResult:
-    t0 = time.time()
+@_criterion(11, "stochasticity and regime positivity")
+def criterion_11_stochasticity(seed=DEFAULT_SEED, points=100):
     bad = []
     n = 2
     pt = sample_point(n, seed)
@@ -421,13 +427,11 @@ def criterion_11_stochasticity(seed=DEFAULT_SEED, points=100) -> CriterionResult
                 for edges, w in pattern_table(model, fam, (rp.z[0],), rp.q, letters).items():
                     if not 0 <= w <= 1:
                         bad.append(("range", model.value, fam.value, edges, w))
-    dt = time.time() - t0
-    return CriterionResult(11, "stochasticity and regime positivity",
-                           not bad, f"{len(bad)} violations", dt)
+    return not bad, f"{len(bad)} violations"
 
 
-def criterion_12_monte_carlo(seed=DEFAULT_SEED, samples=10**5) -> CriterionResult:
-    t0 = time.time()
+@_criterion(12, "Monte Carlo frequencies vs exact law", budget=60.0)
+def criterion_12_monte_carlo(seed=DEFAULT_SEED, samples=10**5):
     issues = []
     q, zv = Fraction(1, 2), Fraction(3, 4)
     runs = []
@@ -464,11 +468,7 @@ def criterion_12_monte_carlo(seed=DEFAULT_SEED, samples=10**5) -> CriterionResul
                                                    point, sig, tau))
                 if z != p:
                     issues.append(("path-sum", model.value, L, key))
-    dt = time.time() - t0
-    ok = not issues and dt < 60.0
-    return CriterionResult(12, "Monte Carlo frequencies vs exact law",
-                           ok, f"{len(runs)} sampler runs x {samples} samples, issues: {issues}",
-                           dt, 60.0)
+    return not issues, f"{len(runs)} sampler runs x {samples} samples, issues: {issues}"
 
 
 ALL_CRITERIA = [

@@ -6,10 +6,11 @@ counterexample is printed), 2 = invalid flags or specification, 3 = an
 internal error (any other exception, printed as one 'internal error:'
 line).
 
-``verify`` holds no relation of its own: its ``--relation`` choices are
-the ids of ``acceptance.RELATIONS``, and point k of a run is that
-registry entry checked at seed + k, so adding a relation is adding one
-registry entry.
+``verify`` holds no relation or loop of its own: its ``--relation``
+choices are the ids of ``acceptance.RELATIONS``, and it prints the report
+of ``acceptance.verify_relation`` (point k checked at seed + k, over
+``--jobs`` processes).  ``suite`` prints ``acceptance.run_suite``, where
+criteria are timed and held to their budgets.
 
 Every run starts by printing its effective configuration (as a comment
 line, or under the "config" key in JSON mode), so any output can be
@@ -25,16 +26,15 @@ with --config; explicit flags win over config values.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from functools import cache, partial, reduce
+from functools import cache
 
 import numpy as np
 
 from . import acceptance
-from . import relations as rel
 from .dynamics import (ESCAPE, POOLED, SamplerConfig, SamplerSoundnessError,
                        compare_empirical_to_exact, exact_outcome_probabilities,
                        group_rows, run_sampler, trajectory_from_rows)
@@ -122,14 +122,8 @@ def cmd_verify(args) -> int:
     _require_positive(args, "points", "jobs")
     config = {"subcommand": "verify", "relation": args.relation, "points": args.points,
               "seed": args.seed, "paranoid": args.paranoid, "jobs": args.jobs}
-    check = partial(acceptance.check_relation, args.relation, paranoid=args.paranoid)
-    seeds = range(args.seed, args.seed + args.points)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            parts = list(pool.map(check, seeds))
-    else:
-        parts = list(map(check, seeds))
-    report = reduce(rel.RelationReport.merge, parts)
+    report = acceptance.verify_relation(args.relation, args.seed, args.points,
+                                        paranoid=args.paranoid, jobs=args.jobs)
     payload = {
         "relation": report.relation,
         "points_tested": report.points_tested,
@@ -156,9 +150,11 @@ def cmd_verify(args) -> int:
 def _build_spec(args, lam=None) -> LatticeSpec:
     model = MODEL_NAMES[args.model]
     point = ParamPoint(parse_rat_list(args.z), parse_rat(args.q))
+    if model.colored and not args.sigma:
+        raise UsageError("--sigma is required for the signed and positive models")
     sigma = SignedPermutation(parse_int_list(args.sigma)) if args.sigma else None
     tau = SignedPermutation(parse_int_list(args.tau)) if getattr(args, "tau", None) else None
-    if model.colored and tau is None and sigma is not None:
+    if model.colored and tau is None:
         tau = SignedPermutation.identity(point.n)
     if lam is None:
         lam = Partition(parse_int_list(args.lam))
@@ -274,13 +270,14 @@ def cmd_sample(args) -> int:
 
 def cmd_render(args) -> int:
     spec = _build_spec(args)
-    states = list(enumerate_states(spec))
-    if not states:
-        raise UsageError("no admissible states for this boundary")
-    if not 0 <= args.state_index < len(states):
-        raise UsageError(f"--state-index {args.state_index} out of range "
-                         f"(have {len(states)} states)")
-    config, _ = states[args.state_index]
+    k = args.state_index
+    state = next(itertools.islice(enumerate_states(spec), k, None), None) if k >= 0 else None
+    if state is None:
+        total = count_states(spec)
+        if not total:
+            raise UsageError("no admissible states for this boundary")
+        raise UsageError(f"--state-index {k} out of range (have {total} states)")
+    config, _ = state
     sys.stdout.write(render_state(config, args.format))
     return 0
 

@@ -7,7 +7,13 @@ passed.  All checks are exact equality except the Monte Carlo criterion
 0.999 quantile) and the stated runtime budgets.
 """
 
+import itertools
+from functools import reduce
+
+import pytest
+
 from symplectic_ice import acceptance as acc
+from symplectic_ice import relations as rel
 
 
 def _run(criterion, **kwargs):
@@ -99,3 +105,41 @@ def test_criterion_12_monte_carlo():
     # sum reproduces Z exactly for n = 1, L <= 2; < 60 s
     res = _run(acc.criterion_12_monte_carlo)
     assert res.seconds < 60.0
+
+
+def _stepped_clock(monkeypatch, step):
+    """Each read of the criteria's clock is ``step`` seconds after the last."""
+    ticks = itertools.count(0.0, step)
+    monkeypatch.setattr(acc, "perf_counter", lambda: next(ticks))
+
+
+@pytest.mark.parametrize("criterion, budget, kwargs", [
+    (acc.criterion_1_ybe_uncolored, 1.0, {"points": 1}),
+    (acc.criterion_7_functional, 30.0, {"points": 1}),
+    (acc.criterion_12_monte_carlo, 60.0, {"samples": 10**4}),
+])
+def test_budgeted_criterion_fails_when_it_runs_past_its_budget(monkeypatch, criterion,
+                                                               budget, kwargs):
+    _stepped_clock(monkeypatch, budget - 0.01)
+    inside = criterion(**kwargs)
+    assert inside.passed and inside.budget == budget and inside.seconds == budget - 0.01
+    _stepped_clock(monkeypatch, budget)
+    late = criterion(**kwargs)
+    assert not late.passed and late.detail == inside.detail
+    assert late.line.endswith(f"[{budget:.2f}s / budget {budget:.0f}s]")
+
+
+def test_criterion_without_budget_never_fails_on_time(monkeypatch):
+    _stepped_clock(monkeypatch, 10.0**6)
+    result = acc.criterion_2_ybe_lemma(points=1)
+    assert result.passed and result.budget is None
+    assert result.line.endswith("[1000000.00s]")
+
+
+def test_verify_relation_at_a_stride_merges_check_relation_at_each_seed():
+    # criterion 8 reads closed-form at seeds seed, seed + 7, seed + 14, ...
+    seed = 5
+    merged = reduce(rel.RelationReport.merge,
+                    [acc.check_relation("closed-form", seed + 7 * k) for k in range(3)])
+    assert acc.verify_relation("closed-form", seed, 3, stride=7) == merged
+    assert merged.points_tested == 3 and merged.combos_tested > 0

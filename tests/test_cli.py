@@ -16,8 +16,10 @@ from symplectic_ice import relations as rel
 from symplectic_ice import dynamics, weights
 from symplectic_ice import functional as fn
 from symplectic_ice.lattice import (LatticeSpec, Partition, SignedPermutation,
-                                    all_signed_permutations, partition_function)
+                                    all_signed_permutations, enumerate_states,
+                                    partition_function)
 from symplectic_ice.rationals import ParamPoint
+from symplectic_ice.render import render_state
 from symplectic_ice.weights import Family, Model
 
 from scalar_sampler import ScalarSampler, scalar_run
@@ -198,6 +200,34 @@ def test_verify_parallel_jobs_match_serial(capsys):
     a, b = json.loads(out1), json.loads(out2)
     a.pop("config"); b.pop("config")
     assert a == b
+
+
+def test_verify_jobs_start_at_most_one_worker_per_point(capsys, monkeypatch):
+    class SerialPool:
+        """Stands in for the process pool: records its size, maps in process."""
+        sizes = []
+
+        def __init__(self, max_workers):
+            self.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(acceptance, "ProcessPoolExecutor", SerialPool)
+    argv = ("verify", "--relation", "ybe-gg", "--seed", "3", "--json")
+    serial = json.loads(run(capsys, *argv, "--points", "2")[1])
+    pooled = json.loads(run(capsys, *argv, "--points", "2", "--jobs", "64")[1])
+    assert SerialPool.sizes == [2]
+    serial.pop("config"); pooled.pop("config")
+    assert pooled == serial
+    assert run(capsys, *argv, "--points", "1", "--jobs", "64")[0] == 0
+    assert SerialPool.sizes == [2]
 
 
 def test_sample_json_schema(capsys):
@@ -437,6 +467,30 @@ def test_render_ascii_and_svg(capsys):
     code, out, _ = run(capsys, *base, "--format", "svg")
     assert code == 0
     assert out.count('class="strand"') == 2
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "svg"])
+def test_render_draws_the_indexed_state_of_the_enumeration(capsys, fmt):
+    spec = LatticeSpec(Model.UNCOLORED_REFLECTING, 2, 4, Partition((1, 0)),
+                       ParamPoint((F(1, 2), F(1, 3)), F(2)))
+    states = list(enumerate_states(spec))
+    for k in range(3):
+        code, out, _ = run(capsys, "render", "--model", "reflecting", "--n", "2", "--L", "4",
+                           "--lambda", "1,0", "--z", "1/2,1/3", "--q", "2",
+                           "--state-index", str(k), "--format", fmt)
+        assert code == 0 and out == render_state(states[k][0], fmt)
+
+
+@pytest.mark.parametrize("subcommand, model", [
+    ("sample", "signed"), ("sample", "positive"), ("partition", "signed"),
+    ("partition", "positive"), ("render", "signed"), ("render", "positive")])
+def test_colored_spec_without_sigma_names_the_sigma_flag(capsys, subcommand, model):
+    argv = [subcommand, "--model", model, "--n", "1", "--L", "2", "--z", "3/4", "--q", "1/2"]
+    if subcommand != "sample":
+        argv += ["--lambda", "0", "--tau", "1"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == "error: --sigma is required for the signed and positive models\n"
 
 
 def test_render_bad_index(capsys):
