@@ -172,9 +172,9 @@ def cmd_partition(args) -> int:
         value = partition_function(spec)
         num_states = count_states(spec)
     else:
-        states = list(enumerate_states(spec))
-        value = sum((w for _, w in states), Fraction(0))
-        num_states = len(states)
+        value, num_states = Fraction(0), 0
+        for _, weight in enumerate_states(spec):
+            value, num_states = value + weight, num_states + 1
     payload = {
         "model": spec.model.value, "n": spec.n, "L": spec.L,
         "lambda": list(spec.lam.parts),
@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     _spec_flags(p)
     p.add_argument("--method", choices=["enumeration", "transfer"], default="transfer",
                    help="transfer (default): Z and the state count by the column "
-                        "transfer; enumeration: list every state and sum the weights")
+                        "transfer; enumeration: walk every state once, summing the weights")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_partition)
 

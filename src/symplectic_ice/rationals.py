@@ -15,6 +15,11 @@ deformation parameter ``q``.  The companion parameters obey
 
 and are always recomputed from ``z_i`` and ``q``, never stored.
 
+``sample_point`` reads the crossings' singular loci from their weight
+rules (``weights.denominator``; ``DomainError`` is re-exported from there)
+and keeps here only those no rule has: z = 0, z' = 0, equal z,
+q z_i + z_j' - (q+1), 1 - z_n z_n' and the u-singular test.
+
 Everything here is immutable and safe to share across workers.
 """
 
@@ -25,15 +30,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
+from .weights import R_FAMILIES, DomainError, Family, denominator
+
 #: Default magnitude bound for numerators/denominators drawn by sample_point.
 SAMPLE_RANGE = 10**6
 
 #: Draw budget before sample_point gives up on a predicate set.
 REJECTION_BUDGET = 1000
-
-
-class DomainError(ValueError):
-    """An operation was applied outside its mathematical domain."""
 
 
 class SamplingError(RuntimeError):
@@ -107,8 +110,7 @@ def in_stochastic_regime(point: ParamPoint) -> bool:
 # Random points avoiding the singular loci of the identities under test.
 #
 # Each predicate takes a ParamPoint and returns True when the point must be
-# rejected.  The built-in set covers every denominator appearing in the
-# R-matrix tables, the braid/cap relations and the u-variable operators.
+# rejected; the module docstring says which loci the built-in set covers.
 # ---------------------------------------------------------------------------
 
 Predicate = Callable[[ParamPoint], bool]
@@ -131,39 +133,21 @@ def _avoid_equal_z(p):
 
 
 def _avoid_r_denominators(p):
-    """Denominators of all four R-matrix tables, over ordered pairs (i, j),
-    plus the collapse-relation denominator q z_i + z_j' - (q+1)."""
+    """The loci read from the weight rules: the four crossings of two spectral
+    parameters (R_FAMILIES[:4]) over ordered pairs (i, j) and the fish
+    crossing at z_n.  Every other predicate holds a locus no rule has."""
+    q, z = p.q, p.z
+    return (denominator(Family.R_FISH, z[-1:], q) == 0
+            or any(denominator(family, (z[i - 1], z[j - 1]), q) == 0
+                   for i, j in _pairs(p.n) for family in R_FAMILIES[:4]))
+
+
+def _avoid_collapse_denominators(p):
+    """Loci no rule has: the collapse relation's q z_i + z_j' - (q+1) over
+    ordered pairs (i, j), and the s_n fixed locus 1 - z_n z_n'."""
     q = p.q
-    for i, j in _pairs(p.n):
-        zi, zj = p.z[i - 1], p.z[j - 1]
-        zpi, zpj = p.zp(i), p.zp(j)
-        if 1 - (q + 1) * zj + q * zi * zj == 0:
-            return True
-        if 1 - zpi * zj == 0:
-            return True
-        if q - (q + 1) * zpi + zpi * zpj == 0:
-            return True
-        if zi * zpj - 1 == 0:
-            return True
-        if q * zi + zpj - (q + 1) == 0:
-            return True
-    return False
-
-
-def _avoid_caduceus_denominator(p):
-    q = p.q
-    for i, j in _pairs(p.n):
-        zi, zj = p.z[i - 1], p.z[j - 1]
-        if zi + zj - (q + 1) * zi * zj == 0:
-            return True
-    return False
-
-
-def _avoid_fish_denominator(p):
-    # q z_n + z_n' - (q+1) = 0, and 1 - z_n z_n' = 0 (the s_n fixed locus)
-    q = p.q
-    zn, zpn = p.z[-1], p.zp(p.n)
-    return q * zn + zpn - (q + 1) == 0 or 1 - zn * zpn == 0
+    return (1 - p.z[-1] * p.zp(p.n) == 0
+            or any(q * p.z[i - 1] + p.zp(j) - (q + 1) == 0 for i, j in _pairs(p.n)))
 
 
 def _avoid_u_singular(p):
@@ -182,8 +166,7 @@ DEFAULT_AVOID: tuple = (
     _avoid_zprime_zero,
     _avoid_equal_z,
     _avoid_r_denominators,
-    _avoid_caduceus_denominator,
-    _avoid_fish_denominator,
+    _avoid_collapse_denominators,
     _avoid_u_singular,
 )
 

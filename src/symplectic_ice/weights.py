@@ -45,16 +45,16 @@ weight exactly 0.  All-equal patterns and cap pairs weigh 1; any other listed we
 order class: straight through or exchange, with the first label lower or
 higher than the other.  So a family at one point takes at most four
 further values, and ``_RULES`` maps each family to the one rule that
-returns them.  ``_listed_patterns`` is the one place that lists patterns
-and names their classes; ``pattern_table`` evaluates the rule at most
-once per call and serves lattice rows, wiring-diagram nodes and
-``stochastic_row_sums``, and ``vertex_weight`` is the same listing
-restricted to one pattern.
+returns them as numerators over one denominator.  ``_listed_patterns``
+is the one place that lists patterns and names their classes;
+``pattern_table`` evaluates the rule at most once per call and serves
+lattice rows, wiring-diagram nodes and ``stochastic_row_sums``, and
+``vertex_weight`` is the same listing restricted to one pattern.
 
 The rules are the one place that knows where a family is undefined:
-where its rule divides by zero, ``pattern_table`` and ``vertex_weight``
-raise ``DomainError`` naming the family and the point.  Weight-1 and
-unlisted patterns need no rule and keep their values there.
+where its denominator vanishes (``denominator``), ``pattern_table`` and
+``vertex_weight`` raise ``DomainError`` naming the family and the point.
+Weight-1 and unlisted patterns need no rule and keep their values there.
 
 All tables are pure functions of immutable arguments; share freely across
 threads.
@@ -64,8 +64,6 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-
-from .rationals import DomainError, zprime
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -126,6 +124,10 @@ class UsageError(ValueError):
     """Arguments inconsistent with the requested table."""
 
 
+class DomainError(ValueError):
+    """An operation was applied outside its mathematical domain."""
+
+
 def alphabet(model: Model, n: int) -> tuple:
     """The edge-label alphabet of a model with n row pairs."""
     if model.colored:
@@ -169,77 +171,87 @@ def cap_weight(model: Model, top: int, bottom: int) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # Order-class weight rules (see the module docstring).  Each returns the
-# family's four class weights
+# family's four class numerators and their one denominator, polynomials in
+# the parameters and q:
 #
-#     (straight lower, straight higher, exchange lower, exchange higher)
+#     (straight lower, straight higher, exchange lower, exchange higher), den
 #
 # where "straight" is (a, b, a, b), "exchange" is (a, b, b, a) or
 # (a, a, c, c), and lower/higher compares the rank of a with that of b or c.
+# A rule written in z' = q + 1 - 1/z keeps z in its denominator, one dividing
+# by q keeps q: the family is singular exactly where den vanishes.  An exchange
+# numerator that differs from a straight one by a multiple of den is so written.
 # ---------------------------------------------------------------------------
 
 def _gamma(z, q):
     # (left, top, right, bottom)
-    return z, q * z, 1 - z, 1 - q * z
+    return (z, q * z, 1 - z, 1 - q * z), 1
 
 
 def _delta(z, q):
-    # (left, top, right, bottom)
-    zp = zprime(z, q)
-    return zp, zp / q, 1 - zp / q, 1 - zp
+    # (left, top, right, bottom); z' = p / z
+    qz = q * z
+    p = qz + z - 1
+    qp = q * p
+    return (qp, p, qz - p, qz - qp), qz
 
 
 def _r_gg(zi, zj, q):
     # (sw, nw, ne, se); c-type exchanges
     den = 1 - (q + 1) * zj + q * zi * zj
     num = zi - zj
-    return (num / den, q * num / den,
-            (1 - zi) * (1 - q * zj) / den, (1 - q * zi) * (1 - zj) / den)
+    qnum = q * num
+    return (num, qnum, den - num, den - qnum), den
 
 
 def _r_dg(zi, zj, q):
-    # (sw, nw, ne, se); d-type exchanges
-    zpi = zprime(zi, q)
-    den = 1 - zpi * zj
-    return ((zpi + q * zj - (q + 1) * zpi * zj) / den,
-            (zpi / q + zj - (1 + 1 / q) * zpi * zj) / den,
-            (1 - zpi / q) * (1 - zj) / den, (1 - zpi) * (1 - q * zj) / den)
+    # (sw, nw, ne, se); d-type exchanges; den = q z_i^2 (1 - z_i' z_j)
+    den = q * zi * (zi + zj - (q + 1) * zi * zj)
+    num = den - zi * (1 - zi) * (1 - zj)
+    qnum = q * num
+    return (qnum, num, den - num, den - qnum), den
 
 
 def _r_dd(zi, zj, q):
-    # (sw, nw, ne, se); c-type exchanges
-    zpi, zpj = zprime(zi, q), zprime(zj, q)
-    den = q - (q + 1) * zpi + zpi * zpj
-    num = zpj - zpi
-    return (num / den, q * num / den,
-            (1 - zpj) * (q - zpi) / den, (1 - zpi) * (q - zpj) / den)
+    # (sw, nw, ne, se); c-type exchanges; den = (z_i z_j)^2 (q - (q+1) z_i' + z_i' z_j')
+    zz = zi * zj
+    den = zz * (1 - (q + 1) * zi + q * zz)
+    num = zz * (zj - zi)
+    qnum = q * num
+    return (num, qnum, den - qnum, den - num), den
 
 
 def _r_gd(zi, zj, q):
-    # (sw, nw, ne, se); d-type exchanges; not stochastic
-    zpj = zprime(zj, q)
-    den = zi * zpj - 1
-    num = q * zi + zpj - (1 + q)
-    return (num / den, num / (q * den),
-            (1 - zi) * (q - zpj) / (q * den), (1 - q * zi) * (1 - zpj) / den)
+    # (sw, nw, ne, se); d-type; rows sum to q and 1/q; den = -q z_j^2 (z_i z_j' - 1)
+    zjd = zj * (zi + zj - (q + 1) * zi * zj)
+    den = q * zjd
+    num = zj * (1 - q * zi * zj)
+    qnum = q * num
+    return (qnum, num, zjd - num, q * den - qnum), den
 
 
 def _lemma_s(t1, q):
-    return q * t1, t1, t1 - 1, q * t1 - 1
+    return (q * t1, t1, t1 - 1, q * t1 - 1), 1
 
 
 def _lemma_t(t2, q):
-    return q * t2, t2, 1 - t2, 1 - q * t2
+    return (q * t2, t2, 1 - t2, 1 - q * t2), 1
 
 
 def _r_lemma(t1, t2, q):
     den = 1 - (q + 1) * t1 + q * t1 * t2
     num = t2 - t1
-    return (num / den, q * num / den,
-            -(1 - t1) * (1 - q * t2) / den, -(1 - t2) * (1 - q * t1) / den)
+    qnum = q * num
+    return (num, qnum, qnum - den, num - den), den
 
 
 def _r_fish(z, q):
-    return _r_lemma(1 / (q * z), zprime(z, q) / q, q)
+    # _r_lemma at t1 = 1/(q z), t2 = z'/q, times q^2 z^3
+    qzz = q * z * z
+    den = q * z * (qzz - 1)
+    num = qzz * ((q + 1) * z - 2)
+    qnum = q * num
+    return (num, qnum, qnum - den, num - den), den
 
 
 #: family -> (order-class rule, number of parameters, d-type exchange).
@@ -309,13 +321,17 @@ def _checked_params(model: Model, family: Family, params) -> tuple:
 
 
 def _class_weights(family: Family, params, q) -> tuple:
-    """The family rule's four class weights; DomainError where the rule
-    divides by zero (``zprime`` at z = 0 included)."""
-    try:
-        return _RULES[family][0](*params, q)
-    except (ZeroDivisionError, DomainError):
+    """The family's four class weights; DomainError where its denominator vanishes."""
+    nums, den = _RULES[family][0](*params, q)
+    if den == 0:
         raise DomainError(f"singular point: {family.value} weights undefined at "
-                          f"({', '.join(map(str, params))}), q = {q}") from None
+                          f"({', '.join(map(str, params))}), q = {q}")
+    return nums if den == 1 else (nums[0] / den, nums[1] / den, nums[2] / den, nums[3] / den)
+
+
+def denominator(family: Family, params, q):
+    """The family rule's denominator: the family is singular where it vanishes."""
+    return _RULES[family][0](*params, q)[1]
 
 
 def pattern_table(model: Model, family: Family, params, q, letters) -> dict:
@@ -327,7 +343,7 @@ def pattern_table(model: Model, family: Family, params, q, letters) -> dict:
     rule is evaluated at most once per call, and listed patterns whose
     weight is 0 at a degenerate parameter point are kept.  Edge tuples and
     ``params`` are as in ``vertex_weight``.  Raises DomainError where the
-    rule divides by zero, unless every listed pattern weighs 1.
+    rule's denominator vanishes, unless every listed pattern weighs 1.
     """
     params = _checked_params(model, family, params)
     table, classes = {}, None
@@ -357,7 +373,7 @@ def vertex_weight(model: Model, family: Family, edges, params, q) -> Fraction:
 
     The pattern is looked up in the listing over its own labels, so the
     rule runs only for a listed pattern that is not all-equal, and only
-    such a pattern raises DomainError where the rule divides by zero.
+    such a pattern raises DomainError where the rule's denominator vanishes.
     """
     params = _checked_params(model, family, params)
     edges = tuple(edges)

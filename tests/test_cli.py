@@ -124,8 +124,8 @@ def test_verify_corrupted_preset_exits_one(capsys, monkeypatch):
     rule, arity, d_type = weights._RULES[Family.R_GAMMA_GAMMA]
 
     def corrupted(*args):
-        classes = rule(*args)
-        return (classes[0] + F(1, 7),) + classes[1:]
+        nums, den = rule(*args)
+        return (nums[0] + F(1, 7) * den,) + nums[1:], den
 
     monkeypatch.setitem(weights._RULES, Family.R_GAMMA_GAMMA, (corrupted, arity, d_type))
     code, out, _ = run(capsys, "verify", "--relation", "ybe-gg", "--points", "2")

@@ -191,8 +191,8 @@ def test_corrupted_table_is_detected(monkeypatch):
     rule, arity, d_type = weights._RULES[Family.R_GAMMA_GAMMA]
 
     def corrupted(*args):
-        classes = rule(*args)
-        return (classes[0] + 1,) + classes[1:]
+        nums, den = rule(*args)
+        return (nums[0] + den,) + nums[1:], den
 
     monkeypatch.setitem(weights._RULES, Family.R_GAMMA_GAMMA, (corrupted, arity, d_type))
     rep = rel.verify_ybe_uncolored(G, G, sample_point(2, 2))

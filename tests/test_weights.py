@@ -4,9 +4,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from symplectic_ice.rationals import DomainError, sample_point, sample_regime_point, zprime
-from symplectic_ice.weights import (Family, Model, R_FAMILIES, STOCHASTIC_INPUT_SLOTS,
-                                    UsageError, alphabet, cap_weight,
+from symplectic_ice.rationals import (DEFAULT_AVOID, DomainError, ParamPoint, sample_point,
+                                      sample_regime_point, zprime)
+from symplectic_ice.weights import (_RULES, Family, Model, R_FAMILIES, STOCHASTIC_INPUT_SLOTS,
+                                    UsageError, alphabet, cap_weight, denominator,
                                     pattern_table, stochastic_row_check,
                                     stochastic_row_sums, vertex_weight)
 
@@ -288,23 +289,68 @@ def test_pattern_table_vs_weight():
 
 
 def _singular(fam):
-    """``(params, q)`` at which the crossing's common denominator vanishes."""
+    """``(params, q)`` at which the crossing's common denominator vanishes,
+    built from the locus by hand and checked against the rule's own."""
     q = F(7, 3)
     zp = zprime(F(2, 5), q)                         # 5/6
     if fam is Family.R_GAMMA_GAMMA:                 # 1 - (q+1) z_j + q z_i z_j
         zj = F(2, 5)
-        return (((q + 1) * zj - 1) / (q * zj), zj), q
-    if fam is Family.R_DELTA_GAMMA:                 # 1 - z_i' z_j
-        return (F(2, 5), 1 / zp), q
-    if fam is Family.R_DELTA_DELTA:                 # q - (q+1) z_i' + z_i' z_j'
+        params = ((q + 1) * zj - 1) / (q * zj), zj
+    elif fam is Family.R_DELTA_GAMMA:               # 1 - z_i' z_j
+        params = F(2, 5), 1 / zp
+    elif fam is Family.R_DELTA_DELTA:               # q - (q+1) z_i' + z_i' z_j'
         zpj = ((q + 1) * zp - q) / zp
-        return (F(2, 5), 1 / (q + 1 - zpj)), q
-    if fam is Family.R_GAMMA_DELTA:                 # z_i z_j' - 1
-        return (1 / zp, F(2, 5)), q
-    if fam is Family.R_LEMMA:                       # 1 - (q+1) t1 + q t1 t2
+        params = F(2, 5), 1 / (q + 1 - zpj)
+    elif fam is Family.R_GAMMA_DELTA:               # z_i z_j' - 1
+        params = 1 / zp, F(2, 5)
+    elif fam is Family.R_LEMMA:                     # 1 - (q+1) t1 + q t1 t2
         t1 = F(2, 5)
-        return (t1, ((q + 1) * t1 - 1) / (q * t1)), q
-    return (F(1, 2),), F(4)                         # R_FISH: 1 - 1/(q z^2)
+        params = t1, ((q + 1) * t1 - 1) / (q * t1)
+    else:                                           # R_FISH: 1 - 1/(q z^2)
+        params, q = (F(1, 2),), F(4)
+    assert denominator(fam, params, q) == 0
+    return params, q
+
+
+@pytest.mark.parametrize("fam", [f for f in R_FAMILIES if f is not Family.R_LEMMA])
+def test_default_avoid_rejects_each_singular_point(fam):
+    # sample_point's avoid set reads the same denominators as the weights
+    params, q = _singular(fam)
+    point = ParamPoint(params, q)
+    assert any(avoid(point) for avoid in DEFAULT_AVOID)
+
+
+#: family -> the slots at which a zero makes the family singular; a zero
+#: in any other slot leaves a table
+_SINGULAR_AT_ZERO = {
+    Family.GAMMA: (),
+    Family.DELTA: ("z", "q"),
+    Family.R_GAMMA_GAMMA: (),
+    Family.R_DELTA_GAMMA: ("z_i", "q"),
+    Family.R_DELTA_DELTA: ("z_i", "z_j"),
+    Family.R_GAMMA_DELTA: ("z_j", "q"),
+    Family.LEMMA_S: (),
+    Family.LEMMA_T: (),
+    Family.R_LEMMA: (),
+    Family.R_FISH: ("z", "q"),
+}
+_SLOTS = {1: ("z", "q"), 2: ("z_i", "z_j", "q")}    # by the family's arity
+
+
+@pytest.mark.parametrize("fam, slot", [(fam, slot) for fam in _SINGULAR_AT_ZERO
+                                       for slot in _SLOTS[_RULES[fam][1]]])
+def test_zero_parameter_is_singular_exactly_where_pinned(fam, slot):
+    # a denominator keeps the factor z of each z' its family's weights are
+    # written in, and q where they divide by q
+    names = _SLOTS[_RULES[fam][1]]
+    values = dict(zip(names, [F(2, 5), F(3, 7), F(7, 3)][-len(names):]))
+    values[slot] = F(0)
+    *params, q = values.values()
+    if slot in _SINGULAR_AT_ZERO[fam]:
+        with pytest.raises(DomainError, match=f"{fam.value} weights undefined"):
+            pattern_table(UR, fam, params, q, (-1, 0))
+    else:
+        assert len(pattern_table(UR, fam, params, q, (-1, 0))) == 6   # every listed pattern
 
 
 @pytest.mark.parametrize("fam", R_FAMILIES)
