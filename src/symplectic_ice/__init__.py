@@ -20,11 +20,11 @@ from .weights import (Family, Model, UsageError, alphabet, cap_map, cap_weight,
                       pattern_table, stochastic_row_check, stochastic_row_sums,
                       vertex_weight)
 from .diagram import WiringDiagram, Node
-from .lattice import (Configuration, LatticeSpec, Partition, SignedPermutation,
+from .lattice import (Configuration, LatticeSpec, Partition, Rows, SignedPermutation,
                       SpecError, all_plain_permutations, all_signed_permutations,
                       boundary_assignment, bottom_outcome, count_states,
-                      enumerate_states, integer_row_tables, partition_function,
-                      row_weight_tables, transfer_right_edge_weights)
+                      enumerate_states, partition_function, spec_rows,
+                      transfer_right_edge_weights)
 from .render import render_state, trace_strands
 from .relations import (RelationReport, verify_caduceus, verify_fish,
                         verify_reflection, verify_ybe_colored,

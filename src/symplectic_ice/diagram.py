@@ -6,11 +6,11 @@ edges, with the remaining slots exposed as numbered boundary stubs.  Its
 value at a boundary assignment is the sum over all labelings of the
 internal edges of the product of node weights -- exactly the partition
 functions appearing in the braid, cap and crossing relations.  Node
-weights come from ``weights.pattern_table``: only a node's nonzero listed
-patterns are ever tried, since every other labeling weighs 0.
-``contract`` sums the products on integer numerators, each node's table
-scaled by its common denominator, and ``evaluate_all`` divides each sum
-once by the product of those denominators.
+weights come from ``weights.integer_table``, the node's ``pattern_table``
+scaled by its common denominator: only a node's nonzero listed patterns
+are ever tried, since every other labeling weighs 0.  ``contract`` sums
+the products on those integer numerators, and ``evaluate_all`` divides
+each sum once by the product of the denominators.
 
 This evaluator is for identity checking, not whole lattices: diagrams are
 capped at MAX_INTERNAL_EDGES internal edges.  Diagrams are immutable after
@@ -27,12 +27,11 @@ configurations (reflection_lhs / reflection_rhs).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .rationals import DomainError, zprime
-from .weights import Family, Model, alphabet, pattern_table
+from .weights import Family, Model, alphabet, integer_table
 
 MAX_INTERNAL_EDGES = 12
 
@@ -116,8 +115,8 @@ class WiringDiagram:
 def contract(diag: WiringDiagram, q, frozen=None, tables=None) -> tuple:
     """``(totals, den)``: the boundary tensor of ``diag`` on integer weights.
 
-    Each distinct node's ``pattern_table`` is built once and multiplied by
-    D, the least common multiple of its weights' denominators, then indexed
+    Each distinct node's ``weights.integer_table`` (its ``pattern_table``
+    times D, the lcm of its denominators) is built once, then indexed
     by the labels the node shares with slots set before it (frozen boundary
     stubs, edges to earlier nodes).  One depth-first sweep over the nodes
     walks only the nonzero listed patterns that agree with the labels
@@ -148,10 +147,8 @@ def contract(diag: WiringDiagram, q, frozen=None, tables=None) -> tuple:
         free = [p for p in dict.fromkeys(positions) if p not in known]
         built = tables.get(node)
         if built is None:
-            table = pattern_table(diag.model, node.family, node.params, q, diag.alphabet)
-            d = math.lcm(*(w.denominator for w in table.values()))
-            built = tables[node] = d, [(edges, w.numerator * (d // w.denominator))
-                                       for edges, w in table.items() if w != 0]
+            scaled, d = integer_table(diag.model, node.family, node.params, q, diag.alphabet)
+            built = tables[node] = d, [(edges, w) for edges, w in scaled.items() if w != 0]
         d, scaled = built
         den *= d
         index: dict = {}

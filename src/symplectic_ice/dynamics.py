@@ -20,7 +20,8 @@ splitmix64-style chain), so samples are independent of iteration order,
 reproducible, and trivially parallel.  Cumulative weights are compared
 against the drawn word through integer thresholds ceil(c * 2^64); the
 2^-64 quantization is far below every statistical tolerance used here.
-The conditional laws are the rows of ``lattice.integer_row_tables``.
+The conditional laws are the rows of ``lattice.spec_rows``, read through
+``_stochastic_row``, which checks that each sums to 1.
 
 ``Sampler`` is the one sweep: numpy arrays indexed by sample carry it for
 up to ``_CHUNK`` samples at once, the hash chain split so that only its
@@ -37,11 +38,10 @@ counter-based, the sweep draws exactly the words a per-vertex loop over
 ``exact_outcome_probabilities`` is the exact law of the bottom outcome
 in one pass: a row transfer from the top over the words of vertical
 labels between row pairs by ``lattice.sweep_vertex``, summing the same
-conditional probabilities the sampler draws from.  It runs on the integer
-numerators of ``lattice.integer_row_tables``: every path takes exactly L
-vertices from each row, so its probability is an integer over the scale
-``prod_r D_r**L``, and each outcome's mass, and the escape mass
-``(scale - total) / scale``, is one exact ``Fraction`` division.
+conditional probabilities the sampler draws from, checked the same way.
+Every path takes exactly L vertices from each row, so its probability is
+an integer over ``Rows.scale``, and each outcome's mass, and the escape
+mass ``(scale - total) / scale``, is one exact ``Fraction`` division.
 ``exhaustive_distribution`` replaces the random word by a recursive sum
 over all branch choices with exact rational probabilities; it is kept as
 an independent oracle for the law, and for small systems it reproduces
@@ -57,9 +57,9 @@ from fractions import Fraction
 import numpy as np
 from scipy.stats import chi2
 
-from .lattice import (Configuration, LatticeSpec, boundary_assignment,
-                      bottom_outcome, bottom_row_outcome, integer_row_tables,
-                      row_family, step_table, sweep_vertex)
+from .lattice import (Configuration, LatticeSpec, Rows, boundary_assignment,
+                      bottom_outcome, bottom_row_outcome, row_family, spec_rows,
+                      step_table, sweep_vertex)
 from .rationals import in_stochastic_regime
 from .weights import STOCHASTIC_INPUT_SLOTS, Family, cap_map, vertex_weight
 
@@ -102,33 +102,39 @@ class SamplerConfig:
             raise ValueError(f"sampler needs at least 1 sample, got {self.num_samples}")
 
 
-def _conditional_tables(spec: LatticeSpec):
+def _stochastic_row(rows: Rows, r: int) -> dict:
+    """Row r's ``step_table`` keyed by its ``STOCHASTIC_INPUT_SLOTS``: Gamma
+    rows by (left, top) to (right, bottom), Delta rows by (right, top) to
+    (left, bottom).  SamplerSoundnessError unless each input's weights
+    sum to D_r, i.e. each conditional law sums to 1."""
+    table = step_table(rows.tables[r - 1], *STOCHASTIC_INPUT_SLOTS[row_family(r)])
+    den = rows.dens[r - 1]
+    for inputs, entries in table.items():
+        total = sum(w for _, _, w in entries)
+        if total != den:
+            raise SamplerSoundnessError(
+                f"row {r} inputs {inputs} sum to {Fraction(total, den)}, not 1")
+    return table
+
+
+def _conditional_tables(rows: Rows):
     """Per row: dict inputs -> (outputs list, integer cumulative thresholds).
 
-    Gamma rows: inputs (left, top), outputs (right, bottom).
-    Delta rows: inputs (right, top), outputs (left, bottom).
-    Read from ``lattice.integer_row_tables``, the outputs in which the
-    carried label passes straight through first.  Row r's weights of one
-    input pair sum to exactly D_r; thresholds are ceil(cum * 2^64 / D_r).
+    Each row's ``_stochastic_row``, the output that passes the carried
+    label straight through first; thresholds are ceil(cum * 2^64 / D_r).
     """
-    tables, dens = integer_row_tables(spec)
-    rows = []
-    for r, (table, den) in enumerate(zip(tables, dens), start=1):
+    tables = []
+    for r, den in enumerate(rows.dens, start=1):
         conditional = {}
-        slots = STOCHASTIC_INPUT_SLOTS[row_family(r)]
-        for (cur, top), entries in step_table(table, *slots).items():
+        for (cur, top), entries in _stochastic_row(rows, r).items():
             entries = sorted(entries, key=lambda entry: entry[0] != cur)
-            total = sum(w for _, _, w in entries)
-            if total != den:
-                raise SamplerSoundnessError(
-                    f"row {r} inputs {(cur, top)} sum to {Fraction(total, den)}, not 1")
             cum, thresholds = 0, []
             for _, _, w in entries:
                 cum += w
                 thresholds.append(-(-(cum * _TWO64) // den))
             conditional[(cur, top)] = ([(out, bottom) for out, bottom, _ in entries], thresholds)
-        rows.append(conditional)
-    return rows
+        tables.append(conditional)
+    return tables
 
 
 @dataclass
@@ -280,10 +286,10 @@ class Sampler:
         self.letters = np.array(spec.alphabet)
         self.dtype = np.min_scalar_type(len(spec.alphabet) - 1)
         index = {label: i for i, label in enumerate(spec.alphabet)}
-        self.rows = [_pack_row(table, index) for table in _conditional_tables(spec)]
-        bnd = boundary_assignment(spec)
-        self.left = [index[label] for label in bnd.left]
-        self.top = np.array([index[label] for label in bnd.top], dtype=self.dtype)
+        rows = spec_rows(spec)
+        self.rows = [_pack_row(table, index) for table in _conditional_tables(rows)]
+        self.left = [index[label] for label in rows.boundary.left]
+        self.top = np.array([index[label] for label in rows.boundary.top], dtype=self.dtype)
         self.cap = np.array([index[cap_map(spec.model, label)] for label in spec.alphabet],
                             dtype=np.intp)
         self.empty = index[0]
@@ -347,7 +353,9 @@ class Sampler:
             summary.histogram[key] = summary.histogram.get(key, 0) + int(count)
 
     def sample(self, index: int) -> SampleOutcome:
-        """Deterministic function of (seed, index)."""
+        """Deterministic function of (seed, index), for 0 <= index < 2**63."""
+        if not 0 <= index < 1 << 63:
+            raise ValueError(f"sample index must satisfy 0 <= index < 2**63, got {index}")
         spec = self.spec
         (_, vert, hor), = self.sweep(index, index + 1)
         escaped = bool(self._escaped(hor)[0])
@@ -485,7 +493,7 @@ def exact_outcome_probabilities(spec: LatticeSpec) -> dict:
     One row transfer from the top, the forward equation of the particle
     system.  Its state maps each word of vertical labels between two row
     pairs (index c-1 for column c) to its mass on integer numerators
-    (``lattice.integer_row_tables``), divided by the common scale once at
+    (``lattice.spec_rows``), divided by the common scale once at
     the end.  A step sweeps the Gamma row left to right from its left
     boundary label, maps the row's right end through the cap, then sweeps
     the Delta row right to left; paths whose Delta row emits a particle
@@ -493,18 +501,16 @@ def exact_outcome_probabilities(spec: LatticeSpec) -> dict:
     mass of an outcome is the partition function with that bottom
     boundary, and the escape mass is the complement.
     """
-    bnd = boundary_assignment(spec)
-    tables, dens = integer_row_tables(spec)
-    L = spec.L
-    scale = math.prod(dens) ** L
+    rows = spec_rows(spec)
+    bnd, scale, L = rows.boundary, rows.scale, spec.L
     words = {tuple(bnd.top): 1}
     for i in range(spec.n, 0, -1):
         front = {(word, bnd.left[2 * i - 1]): p for word, p in words.items()}
-        gamma = step_table(tables[2 * i - 1], *STOCHASTIC_INPUT_SLOTS[Family.GAMMA])
+        gamma = _stochastic_row(rows, 2 * i)
         for c in range(L, 0, -1):
             front = sweep_vertex(front, gamma, c - 1)
         front = {(word, cap_map(spec.model, h)): p for (word, h), p in front.items()}
-        delta = step_table(tables[2 * i - 2], *STOCHASTIC_INPUT_SLOTS[Family.DELTA])
+        delta = _stochastic_row(rows, 2 * i - 1)
         for c in range(1, L + 1):
             front = sweep_vertex(front, delta, c - 1)
         words = {word: p for (word, left), p in front.items() if left == bnd.left[2 * i - 2]}

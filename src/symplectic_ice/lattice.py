@@ -23,29 +23,27 @@ Internal storage uses 0-based column *indices* ``c-1`` for column ``c``:
 so the vertex in row r, column c reads
 ``(left, top, right, bottom) = (hor[r][c], vert[r][c-1], hor[r][c-1], vert[r-1][c-1])``.
 
-Weights are looked up, never recomputed: a row table is the row's
-``weights.pattern_table``, built once per spec, mapping each listed
-pattern ``(left, top, right, bottom)`` to its weight.  ``step_table``
-re-keys it by the two input slots a sweep reads, for enumeration, the
-column transfer and the exact outcome law alike.
+Weights are looked up, never recomputed: ``spec_rows`` builds a ``Rows``
+per call, the boundary and row r's ``weights.integer_table``, each listed
+pattern ``(left, top, right, bottom)`` with its weight times D_r, the
+row's common denominator.  Every state has exactly L vertices in each
+row, so ``Z * Rows.scale`` (``prod_r D_r**L``) is an integer.
+``step_table`` re-keys a row by the two input slots a sweep reads.
 
 There is one engine for ``Z``: ``partition_function`` is the sparse column
 transfer (columns L down to 1, each resolved vertex by vertex top to
 bottom, merging equal frontiers) contracted with the caps.  Its vertex
 step ``sweep_vertex`` also runs the exact outcome law along rows
-(``dynamics.exact_outcome_probabilities``).  It runs on Python ints:
-``integer_row_tables`` multiplies row r's weights by D_r, the common
-denominator of that row, and since every state has exactly L vertices in
-each row, ``Z * prod_r D_r**L`` is the integer the transfer sums; one
-``Fraction`` division at the end gives the exact, normalised value
-(``transfer_right_edge_weights`` divides each open-right entry the same
-way).  The same transfer with every listed completion weighted 1 is
-``count_states``, the number of admissible states; it reads only which
-patterns are listed and evaluates no weight.  ``enumerate_states``
-yields every admissible state with its weight by a column-ordered
-depth-first search over the row tables; it is kept as the state stream
-for rendering and for ``partition --method enumeration``, and as an
-independent oracle for the transfer in the tests.
+(``dynamics.exact_outcome_probabilities``).  It sums integer weights and
+divides once by the scale (``transfer_right_edge_weights`` divides each
+open-right entry), giving the exact, normalised ``Fraction``.  Over a
+``Rows`` of unit tables it is ``count_states``, the number of admissible
+states, which evaluates no weight.  ``enumerate_states`` yields every
+admissible state with its weight by a column-ordered depth-first search
+over the integer rows, one ``Fraction`` per state; it is the state stream
+for rendering and ``partition --method enumeration``, and an oracle for
+the transfer in the tests and criterion 7.  Both close the caps by
+``_closes``.
 
 Everything is pure and immutable; distinct specs may be evaluated
 concurrently.  The state stream from ``enumerate_states`` is a generator
@@ -60,9 +58,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .rationals import ParamPoint
-from .weights import Family, Model, _listed_patterns, alphabet, cap_map, pattern_table
-
-ONE = Fraction(1)
+from .weights import Family, Model, _listed_patterns, alphabet, cap_map, integer_table
 
 
 class SpecError(ValueError):
@@ -265,23 +261,42 @@ def row_family(r: int) -> Family:
     return Family.GAMMA if r % 2 == 0 else Family.DELTA
 
 
-def row_weight_tables(spec: LatticeSpec) -> tuple:
-    """Exact weight of every listed vertex pattern, one table per row.
+@dataclass(frozen=True)
+class Rows:
+    """One spec's rows on integer weights: ``tables[r-1]`` is row r's
+    ``weights.integer_table``, ``dens[r-1]`` its D_r.  A state, column
+    filling or outcome-law path takes L vertices per row, so its weight
+    is its integer product over ``scale`` = prod_r D_r**L."""
 
-    Entry ``r-1`` is row r's ``pattern_table``: ``{(left, top, right,
-    bottom): weight}`` in listing order.  Listed patterns whose weight is
-    0 at a degenerate point are kept, so that enumeration still counts
-    their states; the transfer skips them.
-    """
-    return tuple(pattern_table(spec.model, row_family(r), (spec.point.z[(r - 1) // 2],),
-                               spec.point.q, spec.alphabet)
-                 for r in range(1, 2 * spec.n + 1))
+    spec: LatticeSpec
+    boundary: Boundary
+    tables: tuple
+    dens: tuple
+
+    @property
+    def scale(self) -> int:
+        return math.prod(self.dens) ** self.spec.L
+
+
+def spec_rows(spec: LatticeSpec) -> Rows:
+    """The spec's boundary and its row tables on integer numerators."""
+    tables, dens = zip(*(integer_table(spec.model, row_family(r), (spec.point.z[(r - 1) // 2],),
+                                       spec.point.q, spec.alphabet)
+                         for r in range(1, 2 * spec.n + 1)))
+    return Rows(spec, boundary_assignment(spec), tables, dens)
+
+
+def _closes(model: Model, ends) -> bool:
+    """Whether right-end labels ``ends`` (row r at index r-1) close at the
+    caps: each Gamma row's end maps to the end of the Delta row below."""
+    return all(cap_map(model, ends[r]) == ends[r - 1] for r in range(1, len(ends), 2))
 
 
 def enumerate_states(spec: LatticeSpec) -> Iterator[tuple]:
     """Yield every admissible (Configuration, exact weight) exactly once."""
-    bnd = boundary_assignment(spec)
-    tables = [step_table(table, 0, 1) for table in row_weight_tables(spec)]
+    rows = spec_rows(spec)
+    bnd, scale = rows.boundary, rows.scale
+    tables = [step_table(table, 0, 1) for table in rows.tables]
     n2, L = 2 * spec.n, spec.L
     hor = [[None] * (L + 1) for _ in range(n2 + 1)]
     vert = [[None] * L for _ in range(n2 + 1)]
@@ -289,20 +304,13 @@ def enumerate_states(spec: LatticeSpec) -> Iterator[tuple]:
         hor[r][L] = bnd.left[r - 1]
     vert[n2] = list(bnd.top)
 
-    def close_caps(weight):
-        for i in range(1, spec.n + 1):
-            if cap_map(spec.model, hor[2 * i][0]) != hor[2 * i - 1][0]:
-                return None
-        return weight
-
-    def sweep(c: int, r: int, weight: Fraction):
+    def sweep(c: int, r: int, weight: int):
         if c == 0:
-            final = close_caps(weight)
-            if final is not None:
+            if _closes(spec.model, [row[0] for row in hor[1:]]):
                 yield Configuration(
                     spec.model, spec.n, L,
                     tuple(tuple(row) for row in vert),
-                    tuple(tuple(row) for row in hor)), final
+                    tuple(tuple(row) for row in hor)), Fraction(weight, scale)
             return
         if r == 0:
             yield from sweep(c - 1, n2, weight)
@@ -317,25 +325,7 @@ def enumerate_states(spec: LatticeSpec) -> Iterator[tuple]:
         if r > 1:
             vert[r - 1][c - 1] = None
 
-    yield from sweep(L, n2, ONE)
-
-
-def integer_row_tables(spec: LatticeSpec) -> tuple:
-    """``(tables, dens)``: ``row_weight_tables`` on integer numerators.
-
-    Row r's weights are multiplied by ``dens[r-1]`` = D_r, the least
-    common multiple of their denominators.  Every state, every open-right
-    column filling and every path of the outcome law takes exactly L
-    vertices from each row, so its weight is its integer product divided
-    by ``prod_r D_r**L``: a sum of such weights is one integer sum and one
-    division, which ``Fraction`` normalises to the exact value.
-    """
-    tables, dens = [], []
-    for table in row_weight_tables(spec):
-        den = math.lcm(*(w.denominator for w in table.values()))
-        tables.append({edges: w.numerator * (den // w.denominator) for edges, w in table.items()})
-        dens.append(den)
-    return tuple(tables), tuple(dens)
+    yield from sweep(L, n2, 1)
 
 
 def step_table(table: dict, carried: int, letter: int) -> dict:
@@ -367,16 +357,15 @@ def sweep_vertex(front: dict, table: dict, k: int) -> dict:
     return nxt
 
 
-def _column_transfer(spec: LatticeSpec, tables) -> dict:
+def _column_transfer(rows: Rows) -> dict:
     """Sum of integer weights over column fillings, by right-end labels.
 
-    ``tables`` are row tables with integer weights.  A column is resolved
-    by ``sweep_vertex`` from the top, carrying the vertical label down the
-    word of horizontal labels; row 1 reads only the completions whose
-    bottom is the column's boundary label.
+    A column is resolved by ``sweep_vertex`` from the top, carrying the
+    vertical label down the word of horizontal labels; row 1 reads only
+    the completions whose bottom is the column's boundary label.
     """
-    bnd = boundary_assignment(spec)
-    columns = [step_table(table, 1, 0) for table in tables]
+    spec, bnd = rows.spec, rows.boundary
+    columns = [step_table(table, 1, 0) for table in rows.tables]
     row_1 = {label: {inputs: [entry for entry in entries if entry[0] == label]
                      for inputs, entries in columns[0].items()}
              for label in set(bnd.bottom)}
@@ -390,11 +379,10 @@ def _column_transfer(spec: LatticeSpec, tables) -> dict:
     return states
 
 
-def _capped(spec: LatticeSpec, right_edges: dict) -> int:
-    """Contract a column transfer with the caps: sum over closing right ends."""
-    return sum(weight for h, weight in right_edges.items()
-               if all(cap_map(spec.model, h[2 * i - 1]) == h[2 * i - 2]
-                      for i in range(1, spec.n + 1)))
+def _capped(rows: Rows) -> int:
+    """The column transfer contracted with the caps: its sum over closing right ends."""
+    return sum(weight for h, weight in _column_transfer(rows).items()
+               if _closes(rows.spec.model, h))
 
 
 def transfer_right_edge_weights(spec: LatticeSpec) -> dict:
@@ -405,15 +393,15 @@ def transfer_right_edge_weights(spec: LatticeSpec) -> dict:
     fillings producing them -- the lattice with its right boundary left
     open.  Contracting against the cap tables gives partition_function.
     """
-    tables, dens = integer_row_tables(spec)
-    scale = math.prod(dens) ** spec.L
-    return {h: Fraction(weight, scale) for h, weight in _column_transfer(spec, tables).items()}
+    rows = spec_rows(spec)
+    scale = rows.scale
+    return {h: Fraction(weight, scale) for h, weight in _column_transfer(rows).items()}
 
 
 def partition_function(spec: LatticeSpec) -> Fraction:
     """Exact sum of state weights: the column transfer contracted with the caps."""
-    tables, dens = integer_row_tables(spec)
-    return Fraction(_capped(spec, _column_transfer(spec, tables)), math.prod(dens) ** spec.L)
+    rows = spec_rows(spec)
+    return Fraction(_capped(rows), rows.scale)
 
 
 def count_states(spec: LatticeSpec) -> int:
@@ -426,7 +414,7 @@ def count_states(spec: LatticeSpec) -> int:
     tables = tuple({edges: 1 for edges, _ in
                     _listed_patterns(spec.model, row_family(r), spec.alphabet)}
                    for r in range(1, 2 * spec.n + 1))
-    return _capped(spec, _column_transfer(spec, tables))
+    return _capped(Rows(spec, boundary_assignment(spec), tables, (1,) * len(tables)))
 
 
 def bottom_row_outcome(model: Model, bottom_row) -> tuple:

@@ -48,8 +48,8 @@ further values, and ``_RULES`` maps each family to the one rule that
 returns them as numerators over one denominator.  ``_listed_patterns``
 is the one place that lists patterns and names their classes;
 ``pattern_table`` evaluates the rule at most once per call and serves
-lattice rows, wiring-diagram nodes and ``stochastic_row_sums``, and
-``vertex_weight`` is the same listing restricted to one pattern.
+``stochastic_row_sums`` and ``integer_table`` (lattice rows, diagram
+nodes); ``vertex_weight`` is the same listing restricted to one pattern.
 
 The rules are the one place that knows where a family is undefined:
 where its denominator vanishes (``denominator``), ``pattern_table`` and
@@ -63,6 +63,7 @@ threads.
 from __future__ import annotations
 
 import enum
+import math
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -355,6 +356,14 @@ def pattern_table(model: Model, family: Family, params, q, letters) -> dict:
             classes = _class_weights(family, params, q)
         table[edges] = classes[order]
     return table
+
+
+def integer_table(model: Model, family: Family, params, q, letters) -> tuple:
+    """``(table, den)``: ``pattern_table`` times ``den``, the lcm of its
+    denominators, on integer numerators; listing order and zero weights kept."""
+    table = pattern_table(model, family, params, q, letters)
+    den = math.lcm(*(w.denominator for w in table.values()))
+    return {edges: w.numerator * (den // w.denominator) for edges, w in table.items()}, den
 
 
 def vertex_weight(model: Model, family: Family, edges, params, q) -> Fraction:

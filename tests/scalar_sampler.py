@@ -3,15 +3,15 @@
 ``ScalarSampler.sample`` walks the same sweep as ``dynamics.Sampler`` with
 plain Python lists, calling ``mix64(seed, index, row, column)`` for every
 vertex and stepping through the integer thresholds of
-``dynamics._conditional_tables`` one by one.  It shares nothing with the
-batched sweep but those tables and the hash, so the tests compare the
-library's configurations, keys, escape flags, histograms and exports
-against it.
+``dynamics._conditional_tables`` of ``lattice.spec_rows`` one by one.  It
+shares nothing with the batched sweep but those tables and the hash, so
+the tests compare the library's configurations, keys, escape flags,
+histograms and exports against it.
 """
 
 from symplectic_ice.dynamics import (ESCAPE, SampleOutcome, SampleSummary,
                                      _conditional_tables, mix64)
-from symplectic_ice.lattice import Configuration, boundary_assignment, bottom_outcome
+from symplectic_ice.lattice import Configuration, boundary_assignment, bottom_outcome, spec_rows
 from symplectic_ice.weights import cap_map
 
 
@@ -19,7 +19,7 @@ class ScalarSampler:
     def __init__(self, config):
         self.config = config
         self.spec = config.spec
-        self.tables = _conditional_tables(self.spec)
+        self.tables = _conditional_tables(spec_rows(self.spec))
         self.bnd = boundary_assignment(self.spec)
 
     def sample(self, index: int) -> SampleOutcome:

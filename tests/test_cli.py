@@ -140,7 +140,7 @@ def _double_caduceus_scalar(monkeypatch):
 
 def _bump_crossing_entry(monkeypatch):
     # one Gamma-Gamma crossing entry of the braid side, with a new denominator
-    true_table = dg.pattern_table
+    true_table = weights.pattern_table
 
     def bumped(model, family, params, q, letters):
         table = true_table(model, family, params, q, letters)
@@ -148,7 +148,7 @@ def _bump_crossing_entry(monkeypatch):
             table = {**table, (0, -1, -1, 0): table[(0, -1, -1, 0)] + F(1, 7)}
         return table
 
-    monkeypatch.setattr(dg, "pattern_table", bumped)
+    monkeypatch.setattr(weights, "pattern_table", bumped)
 
 
 @pytest.mark.parametrize("corrupt", [_double_caduceus_scalar, _bump_crossing_entry])

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from symplectic_ice import diagram as dg
+from symplectic_ice import weights
 from symplectic_ice.diagram import DiagramError, Node, WiringDiagram
 from symplectic_ice.rationals import sample_point
 from symplectic_ice.weights import Family, Model, vertex_weight
@@ -114,7 +115,7 @@ def test_zero_listed_weight_keys_and_order():
     # labeling through them is walked, so the boundaries only they reach
     # are not keys, and the rest come in the order the sweep reaches them
     z, q = F(1, 3), F(2)
-    assert dg.pattern_table(UR, Family.R_GAMMA_GAMMA, (z, z), q, (-1, 0))[(-1, 0, -1, 0)] == 0
+    assert weights.pattern_table(UR, Family.R_GAMMA_GAMMA, (z, z), q, (-1, 0))[(-1, 0, -1, 0)] == 0
     values = dg.ybe_left(UR, 1, Family.GAMMA, Family.GAMMA, z, z).evaluate_all(q)
     assert list(values) == [
         (-1, -1, -1, -1, -1, -1), (-1, -1, 0, -1, -1, 0), (-1, -1, 0, -1, 0, -1),
@@ -165,7 +166,7 @@ def test_multilinearity_in_nodes(monkeypatch):
     base = diag.evaluate_all(q)
 
     scale = F(3)
-    true_table = dg.pattern_table
+    true_table = weights.pattern_table
 
     def scaled(model, family, params, q_, letters):
         table = true_table(model, family, params, q_, letters)
@@ -174,7 +175,7 @@ def test_multilinearity_in_nodes(monkeypatch):
             return {edges: scale * w for edges, w in table.items()}
         return table
 
-    monkeypatch.setattr(dg, "pattern_table", scaled)
+    monkeypatch.setattr(weights, "pattern_table", scaled)
     bumped = diag.evaluate_all(q)
     for key in set(base) | set(bumped):
         assert bumped.get(key, F(0)) == scale * base.get(key, F(0))

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from symplectic_ice import dynamics
+from symplectic_ice import dynamics, weights
 from symplectic_ice.dynamics import (ESCAPE, POOLED, Sampler, SamplerConfig,
                                      SamplerSoundnessError, SampleSummary,
                                      compare_empirical_to_exact,
@@ -14,7 +14,7 @@ from symplectic_ice.dynamics import (ESCAPE, POOLED, Sampler, SamplerConfig,
                                      run_sampler, sample_configuration,
                                      trajectory_from_configuration)
 from symplectic_ice.lattice import (LatticeSpec, Partition, SignedPermutation,
-                                    enumerate_states, partition_function)
+                                    enumerate_states, partition_function, spec_rows)
 from symplectic_ice.rationals import ParamPoint
 from symplectic_ice.weights import Family, Model, pattern_table
 
@@ -64,6 +64,21 @@ class TestSampler:
         one = sample_configuration(cfg, 33)
         two = sample_configuration(cfg, 33)
         assert one.config == two.config and one.key == two.key
+
+    @pytest.mark.parametrize("index", [-1, 2**63])
+    def test_sample_index_out_of_range(self, index):
+        config = SamplerConfig(reflecting_spec(), 1, 10)
+        with pytest.raises(ValueError, match=r"0 <= index < 2\*\*63, got "):
+            Sampler(config).sample(index)
+        with pytest.raises(ValueError, match=r"0 <= index < 2\*\*63, got "):
+            sample_configuration(config, index)
+
+    def test_sample_index_range_ends(self):
+        config = SamplerConfig(reflecting_spec(), 1, 10)
+        sampler, scalar = Sampler(config), ScalarSampler(config)
+        for index in (0, 2**63 - 1):
+            out, expected = sampler.sample(index), scalar.sample(index)
+            assert (out.config.vert, out.key) == (expected.config.vert, expected.key)
 
     def test_counts_sum(self):
         summary = run_sampler(SamplerConfig(reflecting_spec(), 1, 300))
@@ -142,7 +157,7 @@ class TestThresholds:
         # table, straight-through output first: Gamma rows keyed by (left,
         # top), Delta rows by (right, top)
         spec = TestBatch.spec(model, n)
-        tables = dynamics._conditional_tables(spec)
+        tables = dynamics._conditional_tables(spec_rows(spec))
         assert len(tables) == 2 * n
         for r, conditional in enumerate(tables, start=1):
             if r % 2 == 0:
@@ -321,6 +336,24 @@ class TestExactness:
             exact = exact_outcome_probabilities(spec)
             assert exact == exhaustive_distribution(spec)
             assert ESCAPE in exact
+
+    def test_rows_that_do_not_sum_to_one_raise(self, monkeypatch):
+        # one Gamma class lowered by 1/7: row 2's inputs (0, -1) keep 6/7 of
+        # their mass, which the sampler and the exact law both refuse (the
+        # exact law must not return the lost mass as escape)
+        rule, arity, d_type = weights._RULES[Family.GAMMA]
+
+        def lowered(*args):
+            nums, den = rule(*args)
+            return (nums[0] - F(den) / 7,) + nums[1:], den
+
+        monkeypatch.setitem(weights._RULES, Family.GAMMA, (lowered, arity, d_type))
+        spec = LatticeSpec(UR, 1, 3, Partition((0,)), POINT1)
+        message = r"row 2 inputs \(0, -1\) sum to 6/7, not 1"
+        with pytest.raises(SamplerSoundnessError, match=message):
+            Sampler(SamplerConfig(spec, 1, 10))
+        with pytest.raises(SamplerSoundnessError, match=message):
+            exact_outcome_probabilities(spec)
 
 
 class TestTrajectories:

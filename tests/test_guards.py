@@ -10,8 +10,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SCRIPT = """
 from fractions import Fraction
 
-from symplectic_ice.dynamics import SampleSummary, SamplerSoundnessError
-from symplectic_ice.rationals import DomainError
+from symplectic_ice import weights
+from symplectic_ice.dynamics import (SampleSummary, Sampler, SamplerConfig,
+                                     SamplerSoundnessError, exact_outcome_probabilities)
+from symplectic_ice.lattice import LatticeSpec, Partition
+from symplectic_ice.rationals import DomainError, ParamPoint
 from symplectic_ice.relations import RelationReport
 from symplectic_ice.weights import Family, Model, pattern_table
 
@@ -38,6 +41,24 @@ except DomainError:
     pass
 else:
     raise SystemExit("a singular crossing table did not raise")
+# lower one Gamma class by 1/7: row 2's inputs (0, -1) sum to 6/7
+rule, arity, d_type = weights._RULES[Family.GAMMA]
+def lowered(*args):
+    nums, den = rule(*args)
+    return (nums[0] - Fraction(den) / 7,) + nums[1:], den
+weights._RULES[Family.GAMMA] = (lowered, arity, d_type)
+spec = LatticeSpec(Model.UNCOLORED_REFLECTING, 1, 3, Partition((0,)),
+                   ParamPoint((Fraction(3, 4),), Fraction(1, 2)))
+for law in (lambda: Sampler(SamplerConfig(spec, 1, 10)),
+            lambda: exact_outcome_probabilities(spec)):
+    try:
+        law()
+    except SamplerSoundnessError as err:
+        if str(err) != "row 2 inputs (0, -1) sum to 6/7, not 1":
+            raise SystemExit(f"wrong message for a row not summing to 1: {err}")
+    else:
+        raise SystemExit("a row that does not sum to 1 did not raise")
+weights._RULES[Family.GAMMA] = (rule, arity, d_type)
 print("guards raised")
 """
 

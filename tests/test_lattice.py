@@ -9,11 +9,10 @@ from symplectic_ice.functional import closed_form_opposite
 from symplectic_ice.lattice import (LatticeSpec, Partition, SignedPermutation,
                                     SpecError, all_signed_permutations,
                                     boundary_assignment, bottom_outcome,
-                                    count_states, enumerate_states,
-                                    integer_row_tables, particle_columns,
-                                    partition_function, row_weight_tables)
+                                    count_states, enumerate_states, particle_columns,
+                                    partition_function, row_family, spec_rows)
 from symplectic_ice.rationals import ParamPoint, sample_point, sample_regime_point, zprime
-from symplectic_ice.weights import Model, cap_map
+from symplectic_ice.weights import Model, cap_map, pattern_table
 
 UR, UA = Model.UNCOLORED_REFLECTING, Model.UNCOLORED_ABSORBING
 CS, CP = Model.COLORED_SIGNED, Model.COLORED_POSITIVE
@@ -266,11 +265,16 @@ class TestCountingTransfer:
     def test_integer_rows_scale_each_row_by_its_denominator(self, model, n, L, lam, sigma,
                                                             tau):
         # row r is multiplied by D_r, the lcm of its denominators, which
-        # integer_row_tables hands out with the tables
+        # spec_rows hands out with the tables
         spec = LatticeSpec(model, n, L, Partition(lam), sample_point(n, 60),
                            sigma and SignedPermutation(sigma), tau and SignedPermutation(tau))
-        tables, dens = integer_row_tables(spec)
-        for exact, scaled, den in zip(row_weight_tables(spec), tables, dens, strict=True):
+        rows = spec_rows(spec)
+        assert rows.boundary == boundary_assignment(spec)
+        assert rows.scale == math.prod(rows.dens) ** L
+        assert len(rows.tables) == 2 * n
+        for r, (scaled, den) in enumerate(zip(rows.tables, rows.dens, strict=True), start=1):
+            exact = pattern_table(model, row_family(r), (spec.point.z[(r - 1) // 2],),
+                                  spec.point.q, spec.alphabet)
             assert den == math.lcm(*(w.denominator for w in exact.values()))
             assert den > 1
             assert scaled == {edges: w * den for edges, w in exact.items()}
