@@ -23,7 +23,7 @@ from .diagram import WiringDiagram, Node
 from .lattice import (Configuration, LatticeSpec, Partition, Rows, SignedPermutation,
                       SpecError, all_plain_permutations, all_signed_permutations,
                       boundary_assignment, bottom_outcome, count_states,
-                      enumerate_states, partition_function, spec_rows,
+                      enumerate_states, partition_and_count, partition_function, spec_rows,
                       transfer_right_edge_weights)
 from .render import render_state, trace_strands
 from .relations import (RelationReport, verify_caduceus, verify_fish,

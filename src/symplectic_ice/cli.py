@@ -39,7 +39,7 @@ from .dynamics import (ESCAPE, POOLED, SamplerConfig, SamplerSoundnessError,
                        compare_empirical_to_exact, exact_outcome_probabilities,
                        group_rows, run_sampler, trajectory_from_rows)
 from .lattice import (LatticeSpec, Partition, SignedPermutation, SpecError, bottom_row_outcome,
-                      count_states, enumerate_states, partition_function)
+                      count_states, enumerate_states, partition_and_count)
 from .rationals import DomainError, ParamPoint, SamplingError
 from .render import render_state
 from .weights import Model, UsageError
@@ -169,8 +169,7 @@ def cmd_partition(args) -> int:
               "sigma": list(spec.sigma.images) if spec.sigma else None,
               "tau": list(spec.tau.images) if spec.tau else None}
     if args.method == "transfer":
-        value = partition_function(spec)
-        num_states = count_states(spec)
+        value, num_states = partition_and_count(spec)
     else:
         value, num_states = Fraction(0), 0
         for _, weight in enumerate_states(spec):
@@ -357,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partition", help="exact partition function of one spec")
     _spec_flags(p)
     p.add_argument("--method", choices=["enumeration", "transfer"], default="transfer",
-                   help="transfer (default): Z and the state count by the column "
+                   help="transfer (default): Z and the state count from one column "
                         "transfer; enumeration: walk every state once, summing the weights")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_partition)

@@ -34,13 +34,16 @@ There is one engine for ``Z``: ``partition_function`` is the sparse column
 transfer (columns L down to 1, each resolved vertex by vertex top to
 bottom, merging equal frontiers) contracted with the caps.  Its vertex
 step ``sweep_vertex`` also runs the exact outcome law along rows
-(``dynamics.exact_outcome_probabilities``).  It sums integer weights and
-divides once by the scale (``transfer_right_edge_weights`` divides each
-open-right entry), giving the exact, normalised ``Fraction``.  Over a
-``Rows`` of unit tables it is ``count_states``, the number of admissible
-states, which evaluates no weight.  ``enumerate_states`` yields every
-admissible state with its weight by a column-ordered depth-first search
-over the integer rows, one ``Fraction`` per state; it is the state stream
+(``dynamics.exact_outcome_probabilities``).  Each frontier entry carries
+a pair: the integer weight of the partial fillings that reach it and
+their number, entries of weight 0 included.  So one transfer sums both
+(``partition_and_count``), and divides the weight once by the scale
+(``transfer_right_edge_weights`` divides each open-right entry), giving
+the exact, normalised ``Fraction``.  Over a ``Rows`` of unit tables it
+is ``count_states``, the number of admissible states, which evaluates no
+weight.  ``enumerate_states`` yields every admissible state with its
+weight by a column-ordered depth-first search over the integer rows,
+one ``Fraction`` per state; it is the state stream
 for rendering and ``partition --method enumeration``, and an oracle for
 the transfer in the tests and criterion 7.  Both close the caps by
 ``_closes``.
@@ -343,22 +346,27 @@ def step_table(table: dict, carried: int, letter: int) -> dict:
 def sweep_vertex(front: dict, table: dict, k: int) -> dict:
     """Resolve one vertex for every frontier entry, on integer weights.
 
-    ``front`` maps (word, carried label) to its weight; the vertex reads
-    the carried label and letter k of the word from a ``step_table``,
-    writes its letter out at k and carries the other output on.  Entries
-    of weight 0 are skipped, and equal frontier entries merge at once."""
+    ``front`` maps (word, carried label) to a pair (weight, count): the
+    summed integer weight of the partial fillings that reach it, and how
+    many there are.  The vertex reads the carried label and letter k of
+    the word from a ``step_table``, writes its letter out at k and carries
+    the other output on; each listed pattern multiplies the weight by its
+    own and passes the count through.  Entries of weight 0 are carried
+    like any other, so the count includes the fillings that weigh 0, and
+    equal frontier entries merge at once."""
     nxt: dict = {}
-    for (word, cur), weight in front.items():
+    for (word, cur), (weight, count) in front.items():
+        head, tail = word[:k], word[k + 1:]
         for out, letter, w in table[(cur, word[k])]:
-            if w == 0:
-                continue
-            key = (word[:k] + (letter,) + word[k + 1:], out)
-            nxt[key] = nxt.get(key, 0) + weight * w
+            key = (head + (letter,) + tail, out)
+            old = nxt.get(key)
+            nxt[key] = ((weight * w, count) if old is None
+                        else (old[0] + weight * w, old[1] + count))
     return nxt
 
 
 def _column_transfer(rows: Rows) -> dict:
-    """Sum of integer weights over column fillings, by right-end labels.
+    """Integer weight and number of column fillings, by right-end labels.
 
     A column is resolved by ``sweep_vertex`` from the top, carrying the
     vertical label down the word of horizontal labels; row 1 reads only
@@ -369,20 +377,24 @@ def _column_transfer(rows: Rows) -> dict:
     row_1 = {label: {inputs: [entry for entry in entries if entry[0] == label]
                      for inputs, entries in columns[0].items()}
              for label in set(bnd.bottom)}
-    states = {tuple(bnd.left): 1}
+    states = {tuple(bnd.left): (1, 1)}
     for c in range(spec.L, 0, -1):
-        front = {(h, bnd.top[c - 1]): weight for h, weight in states.items()}
+        front = {(h, bnd.top[c - 1]): pair for h, pair in states.items()}
         for r in range(2 * spec.n, 0, -1):
             table = row_1[bnd.bottom[c - 1]] if r == 1 else columns[r - 1]
             front = sweep_vertex(front, table, r - 1)
-        states = {h: weight for (h, _), weight in front.items()}
+        states = {h: pair for (h, _), pair in front.items()}
     return states
 
 
-def _capped(rows: Rows) -> int:
-    """The column transfer contracted with the caps: its sum over closing right ends."""
-    return sum(weight for h, weight in _column_transfer(rows).items()
-               if _closes(rows.spec.model, h))
+def _capped(rows: Rows) -> tuple:
+    """The column transfer contracted with the caps: its (integer weight,
+    count) summed over the closing right ends."""
+    weight = count = 0
+    for h, (w, num) in _column_transfer(rows).items():
+        if _closes(rows.spec.model, h):
+            weight, count = weight + w, count + num
+    return weight, count
 
 
 def transfer_right_edge_weights(spec: LatticeSpec) -> dict:
@@ -391,17 +403,27 @@ def transfer_right_edge_weights(spec: LatticeSpec) -> dict:
     Returns the map from the tuple of 2n right-end horizontal labels
     (rows ordered 1..2n) to the exact sum of weights of all column
     fillings producing them -- the lattice with its right boundary left
-    open.  Contracting against the cap tables gives partition_function.
+    open; a right end that only fillings of weight 0 reach maps to 0.
+    Contracting against the cap tables gives partition_function.
     """
     rows = spec_rows(spec)
     scale = rows.scale
-    return {h: Fraction(weight, scale) for h, weight in _column_transfer(rows).items()}
+    return {h: Fraction(weight, scale) for h, (weight, _) in _column_transfer(rows).items()}
+
+
+def partition_and_count(spec: LatticeSpec) -> tuple:
+    """(Z, number of admissible states) from one column transfer.
+
+    The count includes the states of weight 0; ``count_states`` gives it
+    alone and evaluates no weight."""
+    rows = spec_rows(spec)
+    weight, count = _capped(rows)
+    return Fraction(weight, rows.scale), count
 
 
 def partition_function(spec: LatticeSpec) -> Fraction:
     """Exact sum of state weights: the column transfer contracted with the caps."""
-    rows = spec_rows(spec)
-    return Fraction(_capped(rows), rows.scale)
+    return partition_and_count(spec)[0]
 
 
 def count_states(spec: LatticeSpec) -> int:
@@ -414,7 +436,7 @@ def count_states(spec: LatticeSpec) -> int:
     tables = tuple({edges: 1 for edges, _ in
                     _listed_patterns(spec.model, row_family(r), spec.alphabet)}
                    for r in range(1, 2 * spec.n + 1))
-    return _capped(Rows(spec, boundary_assignment(spec), tables, (1,) * len(tables)))
+    return _capped(Rows(spec, boundary_assignment(spec), tables, (1,) * len(tables)))[1]
 
 
 def bottom_row_outcome(model: Model, bottom_row) -> tuple:

@@ -564,7 +564,7 @@ def test_config_sets_switches(tmp_path, capsys):
 
 
 def test_partition_evaluates_each_weight_once(capsys, monkeypatch):
-    # the state count reads only which patterns are listed, so the command
+    # the state count comes from the same transfer as Z, so the command
     # evaluates each row's rule exactly as often as partition_function does
     calls = []
     for family in (Family.GAMMA, Family.DELTA):

@@ -7,7 +7,7 @@ import pytest
 from symplectic_ice import dynamics, weights
 from symplectic_ice.dynamics import (ESCAPE, POOLED, Sampler, SamplerConfig,
                                      SamplerSoundnessError, SampleSummary,
-                                     compare_empirical_to_exact,
+                                     chi2_quantile, compare_empirical_to_exact,
                                      configuration_weight,
                                      exact_outcome_probabilities,
                                      exhaustive_distribution, mix64,
@@ -19,6 +19,7 @@ from symplectic_ice.rationals import ParamPoint
 from symplectic_ice.weights import Family, Model, pattern_table
 
 from scalar_sampler import ScalarSampler, scalar_run
+from scipy_chi2_quantiles import CHI2_PPF_0999
 
 UR, UA = Model.UNCOLORED_REFLECTING, Model.UNCOLORED_ABSORBING
 CS, CP = Model.COLORED_SIGNED, Model.COLORED_POSITIVE
@@ -355,6 +356,13 @@ class TestExactness:
         with pytest.raises(SamplerSoundnessError, match=message):
             exact_outcome_probabilities(spec)
 
+    def test_exact_law_outside_the_regime_raises(self):
+        # q = 2 puts z = 3/4 above 1/q: every row still sums to 1, but the
+        # masses would be -7/16, -7/8 and escape 37/16
+        spec = LatticeSpec(UR, 1, 2, Partition((0,)), ParamPoint((F(3, 4),), F(2)))
+        with pytest.raises(ValueError, match="stochastic regime"):
+            exact_outcome_probabilities(spec)
+
 
 class TestTrajectories:
     def test_empty_configuration(self):
@@ -418,3 +426,21 @@ class TestStatistics:
         assert POOLED in keys
         # pooled probability keeps the table total at 1
         assert sum(row.probability for row in report.rows) == 1
+        assert report.chi2_quantile == chi2_quantile(0.999, report.dof)
+
+
+class TestChi2Quantile:
+    @pytest.mark.parametrize("dof,expected", sorted(CHI2_PPF_0999.items()))
+    def test_matches_scipy_table(self, dof, expected):
+        # sample reports print the quantile with 6 significant digits
+        value = chi2_quantile(0.999, dof)
+        assert value == pytest.approx(expected, rel=1e-13, abs=0)
+        assert f"{value:.6g}" == f"{expected:.6g}"
+
+    @pytest.mark.parametrize("x", [0.01, 0.7, 1.4, 1.6, 2.9, 8.0, 40.0])
+    def test_upper_gamma_closed_forms(self, x):
+        # Q(1, x) = exp(-x) and Q(1/2, x) = erfc(sqrt(x)), on both sides of
+        # the series / continued-fraction switch at a + 1
+        assert dynamics._upper_gamma(1.0, x) == pytest.approx(math.exp(-x), rel=1e-13)
+        assert dynamics._upper_gamma(0.5, x) == pytest.approx(math.erfc(math.sqrt(x)),
+                                                              rel=1e-12)

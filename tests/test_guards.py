@@ -59,6 +59,14 @@ for law in (lambda: Sampler(SamplerConfig(spec, 1, 10)),
     else:
         raise SystemExit("a row that does not sum to 1 did not raise")
 weights._RULES[Family.GAMMA] = (rule, arity, d_type)
+# z = 3/4 > 1/q: rows sum to 1, but the masses would be -7/16, -7/8 and escape 37/16
+try:
+    exact_outcome_probabilities(LatticeSpec(Model.UNCOLORED_REFLECTING, 1, 2, Partition((0,)),
+                                            ParamPoint((Fraction(3, 4),), Fraction(2))))
+except ValueError:
+    pass
+else:
+    raise SystemExit("the exact law outside the stochastic regime did not raise")
 print("guards raised")
 """
 

@@ -4,15 +4,18 @@ from fractions import Fraction as F
 
 import pytest
 
+from symplectic_ice import weights
 from symplectic_ice.dynamics import ESCAPE, exhaustive_distribution
 from symplectic_ice.functional import closed_form_opposite
 from symplectic_ice.lattice import (LatticeSpec, Partition, SignedPermutation,
                                     SpecError, all_signed_permutations,
                                     boundary_assignment, bottom_outcome,
                                     count_states, enumerate_states, particle_columns,
-                                    partition_function, row_family, spec_rows)
-from symplectic_ice.rationals import ParamPoint, sample_point, sample_regime_point, zprime
-from symplectic_ice.weights import Model, cap_map, pattern_table
+                                    partition_and_count, partition_function, row_family,
+                                    spec_rows)
+from symplectic_ice.rationals import (DomainError, ParamPoint, sample_point,
+                                      sample_regime_point, zprime)
+from symplectic_ice.weights import Family, Model, cap_map, pattern_table
 
 UR, UA = Model.UNCOLORED_REFLECTING, Model.UNCOLORED_ABSORBING
 CS, CP = Model.COLORED_SIGNED, Model.COLORED_POSITIVE
@@ -251,15 +254,31 @@ class TestCountingTransfer:
         spec = LatticeSpec(model, n, L, Partition(lam), ParamPoint(z[:n], q),
                            sigma and SignedPermutation(sigma), tau and SignedPermutation(tau))
         states = list(enumerate_states(spec))
+        total = sum((w for _, w in states), F(0))
         assert count_states(spec) == len(states)
-        assert partition_function(spec) == sum((w for _, w in states), F(0))
+        assert partition_function(spec) == total
+        assert partition_and_count(spec) == (total, len(states))
 
     def test_degenerate_point_has_zero_weight_states(self):
         # the counting run must keep them: here 28 of the 30 states weigh 0
         z, q = COUNTED_POINTS[1]
         spec = LatticeSpec(UR, 2, 4, Partition((1, 0)), ParamPoint(z[:2], q))
-        weights = [w for _, w in enumerate_states(spec)]
-        assert (count_states(spec), weights.count(0)) == (30, 28)
+        values = [w for _, w in enumerate_states(spec)]
+        assert (count_states(spec), values.count(0)) == (30, 28)
+        assert partition_and_count(spec) == (sum(values, F(0)), 30)
+
+    def test_count_survives_singular_delta_weights(self, monkeypatch):
+        # Delta weights divide by q z, which ParamPoint keeps nonzero, so a
+        # rule whose denominator vanishes stands in for z_1 = 0: Z is
+        # undefined there, and the unit-weight count still sees every state
+        spec = LatticeSpec(UR, 2, 4, Partition((1, 0)), ParamPoint((F(2, 7), F(3, 11)), F(5, 3)))
+        states = len(list(enumerate_states(spec)))
+        rule, arity, d_type = weights._RULES[Family.DELTA]
+        monkeypatch.setitem(weights._RULES, Family.DELTA,
+                            (lambda z, q: (rule(z, q)[0], 0), arity, d_type))
+        with pytest.raises(DomainError, match="singular point: delta weights"):
+            partition_and_count(spec)
+        assert count_states(spec) == states
 
     @pytest.mark.parametrize("model,n,L,lam,sigma,tau", COUNTED_SPECS[4:8])
     def test_integer_rows_scale_each_row_by_its_denominator(self, model, n, L, lam, sigma,
