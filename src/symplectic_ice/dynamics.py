@@ -553,6 +553,7 @@ POOLED = "(pooled rare outcomes)"
 #: still fully checked: a sampled outcome with exact probability 0 is a
 #: hard error regardless of pooling.
 POOL_MIN_EXPECTED = 10.0
+CHI2_LEVEL = 0.999
 
 
 @dataclass
@@ -562,7 +563,7 @@ class StatReport:
     Outcomes with expected count under POOL_MIN_EXPECTED appear as one
     pooled row.  The chi-square statistic runs over the pooled table
     (including rows never sampled) with num_rows - 1 degrees of freedom;
-    ``chi2_quantile`` is the 0.999 quantile of that distribution.
+    ``chi2_quantile`` is its CHI2_LEVEL (0.999) quantile.
     """
 
     num_samples: int
@@ -609,14 +610,14 @@ def _upper_gamma(a: float, x: float) -> float:
             return front * h
 
 
-def chi2_quantile(level: float, dof: int) -> float:
-    """The ``level`` quantile of the chi-square law with ``dof`` degrees
-    of freedom, for 1/2 < level < 1: Newton steps on Q(dof/2, x/2) = 1 - level
-    from the Wilson-Hilferty start, to about 3e-14 relative at level
-    0.999 for dof 1..3000."""
-    a, tail = dof / 2, 1 - level
+def chi2_quantile(dof: int) -> float:
+    """The CHI2_LEVEL (0.999) quantile of the chi-square law with ``dof``
+    degrees of freedom: Newton steps on Q(dof/2, x/2) = 1 - CHI2_LEVEL
+    from the Wilson-Hilferty start, to about 3e-14 relative for dof
+    1..3000."""
+    a, tail = dof / 2, 1 - CHI2_LEVEL
     h = 2 / (9 * dof)
-    y = a * (1 - h + NormalDist().inv_cdf(level) * math.sqrt(h)) ** 3
+    y = a * (1 - h + NormalDist().inv_cdf(CHI2_LEVEL) * math.sqrt(h)) ** 3
     for _ in range(50):
         density = math.exp((a - 1) * math.log(y) - y - math.lgamma(a))
         step = (_upper_gamma(a, y) - tail) / density
@@ -652,4 +653,4 @@ def compare_empirical_to_exact(summary: SampleSummary, exact: dict) -> StatRepor
         chi += (count - N * pf) ** 2 / (N * pf)
         rows.append(OutcomeStat(key, count, p, zscore))
     dof = max(len(cells) - 1, 1)
-    return StatReport(N, rows, chi, dof, chi2_quantile(0.999, dof))
+    return StatReport(N, rows, chi, dof, chi2_quantile(dof))

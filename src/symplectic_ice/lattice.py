@@ -39,14 +39,13 @@ a pair: the integer weight of the partial fillings that reach it and
 their number, entries of weight 0 included.  So one transfer sums both
 (``partition_and_count``), and divides the weight once by the scale
 (``transfer_right_edge_weights`` divides each open-right entry), giving
-the exact, normalised ``Fraction``.  Over a ``Rows`` of unit tables it
-is ``count_states``, the number of admissible states, which evaluates no
-weight.  ``enumerate_states`` yields every admissible state with its
-weight by a column-ordered depth-first search over the integer rows,
-one ``Fraction`` per state; it is the state stream
-for rendering and ``partition --method enumeration``, and an oracle for
-the transfer in the tests and criterion 7.  Both close the caps by
-``_closes``.
+the exact, normalised ``Fraction``; ``partition_function`` and
+``count_states`` read one element each.  ``enumerate_states`` yields
+every admissible state with its weight by a column-ordered depth-first
+search over the integer rows, one ``Fraction`` per state; it is the
+state stream for rendering and ``partition --method enumeration``, and
+an oracle for the transfer in the tests and criterion 7.  Both close the
+caps by ``_closes``.
 
 Everything is pure and immutable; distinct specs may be evaluated
 concurrently.  The state stream from ``enumerate_states`` is a generator
@@ -61,7 +60,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .rationals import ParamPoint
-from .weights import Family, Model, _listed_patterns, alphabet, cap_map, integer_table
+from .weights import Family, Model, alphabet, cap_map, integer_table
 
 
 class SpecError(ValueError):
@@ -412,10 +411,8 @@ def transfer_right_edge_weights(spec: LatticeSpec) -> dict:
 
 
 def partition_and_count(spec: LatticeSpec) -> tuple:
-    """(Z, number of admissible states) from one column transfer.
-
-    The count includes the states of weight 0; ``count_states`` gives it
-    alone and evaluates no weight."""
+    """(Z, number of admissible states) from one column transfer; the
+    count includes the states of weight 0."""
     rows = spec_rows(spec)
     weight, count = _capped(rows)
     return Fraction(weight, rows.scale), count
@@ -427,16 +424,9 @@ def partition_function(spec: LatticeSpec) -> Fraction:
 
 
 def count_states(spec: LatticeSpec) -> int:
-    """Number of admissible states, the length of ``enumerate_states``.
-
-    The column transfer with every listed completion weighted 1, so the
-    states that use a listed pattern of weight 0 are counted too.  Only
-    which patterns are listed matters: no weight is evaluated.
-    """
-    tables = tuple({edges: 1 for edges, _ in
-                    _listed_patterns(spec.model, row_family(r), spec.alphabet)}
-                   for r in range(1, 2 * spec.n + 1))
-    return _capped(Rows(spec, boundary_assignment(spec), tables, (1,) * len(tables)))[1]
+    """Number of admissible states, the length of ``enumerate_states``,
+    states of weight 0 included: the count of ``partition_and_count``."""
+    return partition_and_count(spec)[1]
 
 
 def bottom_row_outcome(model: Model, bottom_row) -> tuple:

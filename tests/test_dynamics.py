@@ -426,14 +426,14 @@ class TestStatistics:
         assert POOLED in keys
         # pooled probability keeps the table total at 1
         assert sum(row.probability for row in report.rows) == 1
-        assert report.chi2_quantile == chi2_quantile(0.999, report.dof)
+        assert report.chi2_quantile == chi2_quantile(report.dof)
 
 
 class TestChi2Quantile:
     @pytest.mark.parametrize("dof,expected", sorted(CHI2_PPF_0999.items()))
     def test_matches_scipy_table(self, dof, expected):
         # sample reports print the quantile with 6 significant digits
-        value = chi2_quantile(0.999, dof)
+        value = chi2_quantile(dof)
         assert value == pytest.approx(expected, rel=1e-13, abs=0)
         assert f"{value:.6g}" == f"{expected:.6g}"
 
