@@ -39,6 +39,9 @@ counter-based, the sweep draws exactly the words a per-vertex loop over
 in one pass: a row transfer from the top over the words of vertical
 labels between row pairs by ``lattice.sweep_vertex``, summing the same
 conditional probabilities the sampler draws from, checked the same way.
+It runs on packed-integer keys, one ``lattice.packed_step`` table per
+row: the cap map and the left-boundary filter act on the carried label's
+bits, and a word is unpacked only to read its outcome.
 Every path takes exactly L vertices from each row, so its probability is
 an integer over ``Rows.scale``, and each outcome's mass, and the escape
 mass ``(scale - total) / scale``, is one exact ``Fraction`` division.
@@ -60,9 +63,9 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .lattice import (Configuration, LatticeSpec, Rows, boundary_assignment,
-                      bottom_outcome, bottom_row_outcome, row_family, spec_rows,
-                      step_table, sweep_vertex)
+from .lattice import (Configuration, LatticeSpec, Rows, boundary_assignment, bottom_outcome,
+                      bottom_row_outcome, label_bits, pack_word, packed_step, row_family,
+                      spec_rows, step_table, sweep_vertex, unpack_word)
 from .rationals import in_stochastic_regime
 from .weights import STOCHASTIC_INPUT_SLOTS, Family, cap_map, vertex_weight
 
@@ -502,7 +505,10 @@ def exact_outcome_probabilities(spec: LatticeSpec) -> dict:
     the Delta row right to left; paths whose Delta row emits a particle
     past column L escape and are dropped.  In the stochastic regime the
     mass of an outcome is the partition function with that bottom
-    boundary, and the escape mass is the complement.  ValueError outside
+    boundary, and the escape mass is the complement.  Keys are packed as
+    in ``lattice.sweep_vertex``: the cap and the left-boundary filter
+    act on the carried label's bits, and words are unpacked only for
+    ``bottom_row_outcome``.  ValueError outside
     the stochastic regime, as for ``SamplerConfig``: there the masses are
     no probabilities.
     """
@@ -510,20 +516,25 @@ def exact_outcome_probabilities(spec: LatticeSpec) -> dict:
         raise ValueError("the exact outcome law requires a point in the stochastic regime")
     rows = spec_rows(spec)
     bnd, scale, L = rows.boundary, rows.scale, spec.L
-    words = {tuple(bnd.top): (1, 1)}
+    letters = spec.alphabet
+    index = {label: i for i, label in enumerate(letters)}
+    b = label_bits(letters)
+    carried = (1 << b) - 1
+    cap = [index[cap_map(spec.model, label)] for label in letters]
+    words = {pack_word(bnd.top, index, b): (1, 1)}
     for i in range(spec.n, 0, -1):
-        front = {(word, bnd.left[2 * i - 1]): pair for word, pair in words.items()}
-        gamma = _stochastic_row(rows, 2 * i)
+        front = {word | index[bnd.left[2 * i - 1]]: pair for word, pair in words.items()}
+        gamma = packed_step(_stochastic_row(rows, 2 * i), index, b)
         for c in range(L, 0, -1):
-            front = sweep_vertex(front, gamma, c - 1)
-        front = {(word, cap_map(spec.model, h)): pair for (word, h), pair in front.items()}
-        delta = _stochastic_row(rows, 2 * i - 1)
+            front = sweep_vertex(front, gamma, c - 1, b)
+        front = {key & ~carried | cap[key & carried]: pair for key, pair in front.items()}
+        delta = packed_step(_stochastic_row(rows, 2 * i - 1), index, b)
         for c in range(1, L + 1):
-            front = sweep_vertex(front, delta, c - 1)
-        words = {word: pair for (word, left), pair in front.items()
-                 if left == bnd.left[2 * i - 2]}
-    masses = {bottom_row_outcome(spec.model, word): p for word, (p, _) in words.items()
-              if p != 0}
+            front = sweep_vertex(front, delta, c - 1, b)
+        left = index[bnd.left[2 * i - 2]]
+        words = {key & ~carried: pair for key, pair in front.items() if key & carried == left}
+    masses = {bottom_row_outcome(spec.model, unpack_word(word, letters, b, L)): p
+              for word, (p, _) in words.items() if p != 0}
     total = sum(masses.values())
     if total > scale:
         raise SamplerSoundnessError(

@@ -356,10 +356,10 @@ def dl_apply(kind: str, i: int, point: UPoint, f) -> Fraction:
     if ua == 1:
         raise UsageError("singular: u^alpha = 1")
     v = point.v
-    val = ((1 - v) / (ua - 1)) * f(point.u) \
-        + ((v * ua - 1) / (ua - 1)) * f(s_on_u(point.u, i))
+    at_u = f(point.u)
+    val = ((1 - v) / (ua - 1)) * at_u + ((v * ua - 1) / (ua - 1)) * f(s_on_u(point.u, i))
     if kind == "Lhat":
-        val -= (v - 1) * f(point.u)
+        val -= (v - 1) * at_u
     return val
 
 

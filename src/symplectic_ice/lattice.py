@@ -28,12 +28,20 @@ per call, the boundary and row r's ``weights.integer_table``, each listed
 pattern ``(left, top, right, bottom)`` with its weight times D_r, the
 row's common denominator.  Every state has exactly L vertices in each
 row, so ``Z * Rows.scale`` (``prod_r D_r**L``) is an integer.
-``step_table`` re-keys a row by the two input slots a sweep reads.
+``step_table`` re-keys a row by the two input slots a sweep reads, and
+``packed_step`` re-keys that by packed label indices.
+
+A transfer frontier is keyed by packed ints.  With b = ``label_bits``
+bits a label and each label stored as its index in the spec's alphabet,
+a key holds the carried label in bits 0..b-1 and letter k of the word in
+bits b(k+1)..b(k+2)-1.  ``pack_word`` and ``unpack_word`` convert a word
+once at each end of a transfer, so every result is keyed by label tuples.
 
 There is one engine for ``Z``: ``partition_function`` is the sparse column
 transfer (columns L down to 1, each resolved vertex by vertex top to
 bottom, merging equal frontiers) contracted with the caps.  Its vertex
-step ``sweep_vertex`` also runs the exact outcome law along rows
+step ``sweep_vertex`` reads and writes labels with masks and shifts, and
+also runs the exact outcome law along rows
 (``dynamics.exact_outcome_probabilities``).  Each frontier entry carries
 a pair: the integer weight of the partial fillings that reach it and
 their number, entries of weight 0 included.  So one transfer sums both
@@ -342,24 +350,61 @@ def step_table(table: dict, carried: int, letter: int) -> dict:
     return out
 
 
-def sweep_vertex(front: dict, table: dict, k: int) -> dict:
+def label_bits(letters) -> int:
+    """Bits b of one label of ``letters`` in a packed key (at least 1)."""
+    return max(len(letters) - 1, 1).bit_length()
+
+
+def pack_word(word, index: dict, b: int) -> int:
+    """The packed key of ``word`` with carried label index 0: letter k's
+    ``index`` in bits b(k+1)..b(k+2)-1."""
+    key = 0
+    for label in reversed(word):
+        key = (key | index[label]) << b
+    return key
+
+
+def unpack_word(key: int, letters, b: int, length: int) -> tuple:
+    """The ``length`` letters of a packed key's word, by their indices in
+    ``letters``; the carried label is dropped."""
+    mask = (1 << b) - 1
+    return tuple(letters[(key >> (b * k)) & mask] for k in range(1, length + 1))
+
+
+def packed_step(table: dict, index: dict, b: int) -> dict:
+    """A ``step_table`` on packed labels for ``sweep_vertex``: ``cur |
+    letter << b -> [(out, put << b, weight), ...]``, in table order, where
+    each label is its ``index`` (its position in the alphabet) and b is
+    its ``label_bits``."""
+    return {index[cur] | index[letter] << b: [(index[out], index[put] << b, w)
+                                              for out, put, w in entries]
+            for (cur, letter), entries in table.items()}
+
+
+def sweep_vertex(front: dict, table: dict, k: int, b: int) -> dict:
     """Resolve one vertex for every frontier entry, on integer weights.
 
-    ``front`` maps (word, carried label) to a pair (weight, count): the
-    summed integer weight of the partial fillings that reach it, and how
-    many there are.  The vertex reads the carried label and letter k of
-    the word from a ``step_table``, writes its letter out at k and carries
-    the other output on; each listed pattern multiplies the weight by its
-    own and passes the count through.  Entries of weight 0 are carried
-    like any other, so the count includes the fillings that weigh 0, and
-    equal frontier entries merge at once."""
+    ``front`` maps a packed key to a pair (weight, count): the summed
+    integer weight of the partial fillings that reach it, and how many
+    there are.  A key is one int holding the carried label's index in bits
+    0..b-1 and letter k of the word in bits b(k+1)..b(k+2)-1.  The vertex
+    reads the carried label and letter k with masks from a ``packed_step``
+    table, writes its letter out at k and carries the other output on;
+    each listed pattern multiplies the weight by its own and passes the
+    count through.  Entries of weight 0 are carried like any other, so
+    the count includes the fillings that weigh 0, and equal frontier
+    entries merge at once."""
+    shift = b * k
+    cur_mask = (1 << b) - 1
+    letter_mask = cur_mask << b
+    keep = ~(cur_mask | letter_mask << shift)
     nxt: dict = {}
-    for (word, cur), (weight, count) in front.items():
-        head, tail = word[:k], word[k + 1:]
-        for out, letter, w in table[(cur, word[k])]:
-            key = (head + (letter,) + tail, out)
-            old = nxt.get(key)
-            nxt[key] = ((weight * w, count) if old is None
+    for key, (weight, count) in front.items():
+        rest = key & keep
+        for out, put, w in table[key & cur_mask | (key >> shift) & letter_mask]:
+            new = rest | out | put << shift
+            old = nxt.get(new)
+            nxt[new] = ((weight * w, count) if old is None
                         else (old[0] + weight * w, old[1] + count))
     return nxt
 
@@ -368,22 +413,27 @@ def _column_transfer(rows: Rows) -> dict:
     """Integer weight and number of column fillings, by right-end labels.
 
     A column is resolved by ``sweep_vertex`` from the top, carrying the
-    vertical label down the word of horizontal labels; row 1 reads only
-    the completions whose bottom is the column's boundary label.
+    vertical label down the packed word of horizontal labels; row 1 reads
+    only the completions whose bottom is the column's boundary label.  The
+    left boundary is packed once and the right ends unpacked once.
     """
     spec, bnd = rows.spec, rows.boundary
-    columns = [step_table(table, 1, 0) for table in rows.tables]
-    row_1 = {label: {inputs: [entry for entry in entries if entry[0] == label]
+    letters = spec.alphabet
+    index = {label: i for i, label in enumerate(letters)}
+    b = label_bits(letters)
+    columns = [packed_step(step_table(table, 1, 0), index, b) for table in rows.tables]
+    row_1 = {label: {inputs: [entry for entry in entries if entry[0] == index[label]]
                      for inputs, entries in columns[0].items()}
              for label in set(bnd.bottom)}
-    states = {tuple(bnd.left): (1, 1)}
+    states = {pack_word(bnd.left, index, b): (1, 1)}
+    carried = (1 << b) - 1
     for c in range(spec.L, 0, -1):
-        front = {(h, bnd.top[c - 1]): pair for h, pair in states.items()}
+        front = {h | index[bnd.top[c - 1]]: pair for h, pair in states.items()}
         for r in range(2 * spec.n, 0, -1):
             table = row_1[bnd.bottom[c - 1]] if r == 1 else columns[r - 1]
-            front = sweep_vertex(front, table, r - 1)
-        states = {h: pair for (h, _), pair in front.items()}
-    return states
+            front = sweep_vertex(front, table, r - 1, b)
+        states = {key & ~carried: pair for key, pair in front.items()}
+    return {unpack_word(h, letters, b, 2 * spec.n): pair for h, pair in states.items()}
 
 
 def _capped(rows: Rows) -> tuple:

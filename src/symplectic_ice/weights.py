@@ -46,14 +46,19 @@ order class: straight through or exchange, with the first label lower or
 higher than the other.  So a family at one point takes at most four
 further values, and ``_RULES`` maps each family to the one rule that
 returns them as numerators over one denominator.  ``_listed_patterns``
-is the one place that lists patterns and names their classes;
+is the one place that lists patterns and names their classes; it holds no
+parameter, so it is memoised on (model, family, letters).
 ``pattern_table`` evaluates the rule at most once per call and serves
-``stochastic_row_sums`` and ``integer_table`` (lattice rows, diagram
-nodes); ``vertex_weight`` is the same listing restricted to one pattern.
+``stochastic_row_sums``; ``integer_table`` (lattice rows, diagram nodes)
+is built from the class numerators: it makes the classes the listing uses
+integral once over the lcm of their denominators and gives each listed
+pattern its class's integer, with no ``Fraction`` per entry;
+``vertex_weight`` is the same listing restricted to one pattern.
 
 The rules are the one place that knows where a family is undefined:
-where its denominator vanishes (``denominator``), ``pattern_table`` and
-``vertex_weight`` raise ``DomainError`` naming the family and the point.
+where its denominator vanishes (``denominator``), ``pattern_table``,
+``integer_table`` and ``vertex_weight`` raise ``DomainError`` naming the
+family and the point.
 Weight-1 and unlisted patterns need no rule and keep their values there.
 
 All tables are pure functions of immutable arguments; share freely across
@@ -63,6 +68,7 @@ threads.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from fractions import Fraction
 
@@ -279,7 +285,8 @@ _RULES = {
 # Public lookup
 # ---------------------------------------------------------------------------
 
-def _listed_patterns(model: Model, family: Family, letters):
+@functools.lru_cache(maxsize=None)
+def _listed_patterns(model: Model, family: Family, letters: tuple) -> tuple:
     """``(edges, order class)`` of every listed pattern over ``letters``,
     grouped by its first two labels in letter order.  The class indexes
     the family rule's four weights, or is None for a pattern of weight 1
@@ -287,27 +294,28 @@ def _listed_patterns(model: Model, family: Family, letters):
     pattern comes before the exchange; a d-type group with equal first
     labels lists (a, a, c, c) for every c in letter order.  Lattice rows
     keep this order, so the state stream and the sampler's thresholds
-    rest on it."""
+    rest on it.  The listing holds no parameter, so it is memoised on its
+    structural key."""
     if family in (Family.CAP, Family.NEW_CAP):
         emit = cap_map if family is Family.CAP else new_cap_map
-        for top in letters:
-            if emit(model, top) in letters:
-                yield (top, emit(model, top)), None
-        return
+        return tuple(((top, emit(model, top)), None) for top in letters
+                     if emit(model, top) in letters)
     d_type = _RULES[family][2]
     ranks = {label: rank(model, label) for label in letters}
+    listed = []
     for a in letters:
         for b in letters:
             if a != b:
                 higher = ranks[a] > ranks[b]
-                yield (a, b, a, b), higher
+                listed.append(((a, b, a, b), higher))
                 if not d_type:
-                    yield (a, b, b, a), 2 + higher
+                    listed.append(((a, b, b, a), 2 + higher))
             elif d_type:
-                for c in letters:
-                    yield (a, a, c, c), None if c == a else 2 + (ranks[a] > ranks[c])
+                listed.extend(((a, a, c, c), None if c == a else 2 + (ranks[a] > ranks[c]))
+                              for c in letters)
             else:
-                yield (a, a, a, a), None
+                listed.append(((a, a, a, a), None))
+    return tuple(listed)
 
 
 def _checked_params(model: Model, family: Family, params) -> tuple:
@@ -348,7 +356,7 @@ def pattern_table(model: Model, family: Family, params, q, letters) -> dict:
     """
     params = _checked_params(model, family, params)
     table, classes = {}, None
-    for edges, order in _listed_patterns(model, family, letters):
+    for edges, order in _listed_patterns(model, family, tuple(letters)):
         if order is None:
             table[edges] = ONE
             continue
@@ -359,11 +367,20 @@ def pattern_table(model: Model, family: Family, params, q, letters) -> dict:
 
 
 def integer_table(model: Model, family: Family, params, q, letters) -> tuple:
-    """``(table, den)``: ``pattern_table`` times ``den``, the lcm of its
-    denominators, on integer numerators; listing order and zero weights kept."""
-    table = pattern_table(model, family, params, q, letters)
-    den = math.lcm(*(w.denominator for w in table.values()))
-    return {edges: w.numerator * (den // w.denominator) for edges, w in table.items()}, den
+    """``(table, den)``: ``pattern_table`` times ``den`` on integer numerators,
+    in listing order with zero weights kept.  ``den`` is the lcm of the
+    denominators of the class weights the listing uses (1 if it uses none),
+    so each class is made integral once and a weight-1 pattern weighs ``den``;
+    DomainError as for ``pattern_table``."""
+    params = _checked_params(model, family, params)
+    listed = _listed_patterns(model, family, tuple(letters))
+    used = {order for _, order in listed if order is not None}
+    classes = _class_weights(family, params, q) if used else ()
+    den = math.lcm(*(classes[order].denominator for order in used))
+    ints = {order: classes[order].numerator * (den // classes[order].denominator)
+            for order in used}
+    ints[None] = den
+    return {edges: ints[order] for edges, order in listed}, den
 
 
 def vertex_weight(model: Model, family: Family, edges, params, q) -> Fraction:
@@ -386,7 +403,8 @@ def vertex_weight(model: Model, family: Family, edges, params, q) -> Fraction:
     """
     params = _checked_params(model, family, params)
     edges = tuple(edges)
-    for listed, order in _listed_patterns(model, family, tuple(dict.fromkeys(edges))):
+    # not memoised: the label sets of single patterns are many, and no table reads them
+    for listed, order in _listed_patterns.__wrapped__(model, family, tuple(dict.fromkeys(edges))):
         if listed == edges:
             return ONE if order is None else _class_weights(family, params, q)[order]
     return ZERO

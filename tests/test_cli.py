@@ -140,15 +140,18 @@ def _double_caduceus_scalar(monkeypatch):
 
 def _bump_crossing_entry(monkeypatch):
     # one Gamma-Gamma crossing entry of the braid side, with a new denominator
-    true_table = weights.pattern_table
+    true_table = dg.integer_table
 
     def bumped(model, family, params, q, letters):
-        table = true_table(model, family, params, q, letters)
+        table, den = true_table(model, family, params, q, letters)
         if family is Family.R_GAMMA_GAMMA:
-            table = {**table, (0, -1, -1, 0): table[(0, -1, -1, 0)] + F(1, 7)}
-        return table
+            # entry / den + 1/7 on the denominator 7 * den
+            table = {edges: 7 * w for edges, w in table.items()}
+            table[(0, -1, -1, 0)] += den
+            den *= 7
+        return table, den
 
-    monkeypatch.setattr(weights, "pattern_table", bumped)
+    monkeypatch.setattr(dg, "integer_table", bumped)
 
 
 @pytest.mark.parametrize("corrupt", [_double_caduceus_scalar, _bump_crossing_entry])

@@ -176,6 +176,14 @@ class TestDividedDifferenceOperators:
                 Lf = lambda u, i=i, f=f: fn.dl_apply("L", i, fn.UPoint(u, v), f)
                 assert fn.dl_apply("Lhat", i, up, Lf) == v * f(up.u)
 
+    def test_each_operator_evaluates_f_once_per_point(self):
+        # L and Lhat read f at u and at s_i u, one call each
+        for kind in ("L", "Lhat"):
+            for i in (1, 2):
+                calls = []
+                fn.dl_apply(kind, i, self.UP, lambda u: calls.append(u) or u[0] + 2 * u[1])
+                assert sorted(calls) == sorted([self.UP.u, fn.s_on_u(self.UP.u, i)])
+
     def test_singularities_raise(self):
         with pytest.raises(UsageError):
             fn.dl_apply("L", 1, fn.UPoint((F(2), F(2)), F(3)), lambda u: F(1))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -9,11 +10,12 @@ from symplectic_ice.functional import closed_form_opposite
 from symplectic_ice.lattice import (LatticeSpec, Partition, SignedPermutation,
                                     SpecError, all_signed_permutations,
                                     boundary_assignment, bottom_outcome,
-                                    count_states, enumerate_states, particle_columns,
-                                    partition_and_count, partition_function, row_family,
-                                    spec_rows)
+                                    count_states, enumerate_states, label_bits, pack_word,
+                                    packed_step, particle_columns, partition_and_count,
+                                    partition_function, row_family, spec_rows, step_table,
+                                    sweep_vertex, transfer_right_edge_weights, unpack_word)
 from symplectic_ice.rationals import ParamPoint, sample_point, sample_regime_point, zprime
-from symplectic_ice.weights import Model, cap_map, pattern_table
+from symplectic_ice.weights import Family, Model, alphabet, cap_map, integer_table, pattern_table
 
 UR, UA = Model.UNCOLORED_REFLECTING, Model.UNCOLORED_ABSORBING
 CS, CP = Model.COLORED_SIGNED, Model.COLORED_POSITIVE
@@ -284,6 +286,82 @@ class TestCountingTransfer:
             assert scaled == {edges: w * den for edges, w in exact.items()}
             assert list(scaled) == list(exact)
             assert all(type(w) is int for w in scaled.values())
+
+
+class TestOpenRightEdge:
+    @pytest.mark.parametrize("model,lam,z,q,sigma,tau,digest", [
+        (UR, (2, 1), (F(1, 2), F(2, 7)), F(3, 2), None, None,
+         "a084eed1ec2e30123f1d08ca9990e47bda9b252a4ff72308c33d8adb496cb31e"),
+        (UA, (2, 0), (F(2, 3), F(3, 11)), F(1, 2), None, None,
+         "02c28194474cc4d74ceaf5cf8f4ff3e9ddfad9bf26a428bd01b6cd520be683ba"),
+        (CS, (1, 0), (F(2, 7), F(3, 5)), F(3, 2), (1, -2), (-2, 1),
+         "71428f781c5c658523fd99a7867e4bae013205ea140f132134a466277065650d"),
+        (CP, (1, 0), (F(2, 7), F(3, 5)), F(3, 2), (2, 1), (1, 2),
+         "df8d44ca78d6772cee68d3295a03ef61e87f150873b49a41700bc65e5d859350"),
+    ])
+    def test_right_edge_weights_are_pinned(self, model, lam, z, q, sigma, tau, digest):
+        # the right ends, their order and their exact weights, one spec a family
+        L = 5 if model in (UR, UA) else 4
+        spec = LatticeSpec(model, 2, L, Partition(lam), ParamPoint(z, q),
+                           sigma and SignedPermutation(sigma), tau and SignedPermutation(tau))
+        ends = transfer_right_edge_weights(spec)
+        assert hashlib.sha256(repr(list(ends.items())).encode()).hexdigest() == digest
+        assert sum(w for h, w in ends.items()
+                   if all(cap_map(model, h[r]) == h[r - 1] for r in (1, 3))) \
+            == partition_function(spec)
+
+
+def _tuple_sweep(front, table, k):
+    """``sweep_vertex`` on (word tuple, carried label) keys: the oracle."""
+    nxt = {}
+    for (word, cur), (weight, count) in front.items():
+        for out, letter, w in table[(cur, word[k])]:
+            key = (word[:k] + (letter,) + word[k + 1:], out)
+            old = nxt.get(key, (0, 0))
+            nxt[key] = (old[0] + weight * w, old[1] + count)
+    return nxt
+
+
+class TestPackedKeys:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_round_trip_on_signed_words(self, n):
+        # 2n letters of 2n + 1 labels: b = 5 bits and 16 letters at n = 8
+        letters = alphabet(CS, n)
+        index = {label: i for i, label in enumerate(letters)}
+        b = label_bits(letters)
+        assert 1 << (b - 1) < len(letters) <= 1 << b
+        rng = random.Random(n)
+        for _ in range(200):
+            word = tuple(rng.choice(letters) for _ in range(2 * n))
+            key = pack_word(word, index, b)
+            assert key & ((1 << b) - 1) == 0
+            assert unpack_word(key, letters, b, 2 * n) == word
+            assert unpack_word(key | rng.randrange(len(letters)), letters, b, 2 * n) == word
+
+    def test_uncolored_labels_take_one_bit(self):
+        assert label_bits((-1, 0)) == 1 and label_bits((0,)) == 1
+        assert label_bits(alphabet(CS, 8)) == 5 and label_bits(alphabet(CP, 7)) == 3
+
+    @pytest.mark.parametrize("model,n", [(UR, 3), (UA, 2), (CS, 1), (CS, 3), (CP, 4), (CS, 8)])
+    def test_sweep_agrees_with_tuple_keys(self, model, n):
+        # every vertex position of a random frontier, keys in the same order
+        letters = alphabet(model, n)
+        index = {label: i for i, label in enumerate(letters)}
+        b = label_bits(letters)
+        table, _ = integer_table(model, Family.GAMMA, (F(2, 7),), F(3, 2), letters)
+        steps = step_table(table, 1, 0)
+        packed = packed_step(steps, index, b)
+        rng = random.Random(n)
+        front = {}
+        for _ in range(60):
+            word = tuple(rng.choice(letters) for _ in range(2 * n))
+            front[(word, rng.choice(letters))] = (rng.randrange(-50, 50), rng.randrange(1, 9))
+        for k in range(2 * n):
+            expected = _tuple_sweep(front, steps, k)
+            got = sweep_vertex({pack_word(word, index, b) | index[cur]: pair
+                                for (word, cur), pair in front.items()}, packed, k, b)
+            assert [((unpack_word(key, letters, b, 2 * n), letters[key & ((1 << b) - 1)]), pair)
+                    for key, pair in got.items()] == list(expected.items())
 
 
 class TestProbabilisticStructure:

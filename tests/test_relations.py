@@ -214,13 +214,13 @@ def test_sweep_builds_each_shared_node_once(monkeypatch):
     # ybe_left and ybe_right hold the same three nodes; the caduceus caps
     # appear twice on each side: a sweep builds each distinct table once
     built = []
-    true_table = weights.pattern_table
+    true_table = dg.integer_table
 
     def counted(model, family, params, q, letters):
         built.append((family, params))
         return true_table(model, family, params, q, letters)
 
-    monkeypatch.setattr(weights, "pattern_table", counted)
+    monkeypatch.setattr(dg, "integer_table", counted)
     point = sample_point(2, 4)
     assert rel.verify_ybe_uncolored(G, D, point).passed
     assert len(built) == len(set(built)) == 3

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,7 +9,7 @@ from symplectic_ice.rationals import (DEFAULT_AVOID, DomainError, ParamPoint, sa
                                       sample_regime_point, zprime)
 from symplectic_ice.weights import (_RULES, Family, Model, R_FAMILIES, STOCHASTIC_INPUT_SLOTS,
                                     UsageError, alphabet, cap_weight, denominator,
-                                    pattern_table, stochastic_row_check,
+                                    integer_table, pattern_table, stochastic_row_check,
                                     stochastic_row_sums, vertex_weight)
 
 UR, UA = Model.UNCOLORED_REFLECTING, Model.UNCOLORED_ABSORBING
@@ -288,6 +289,37 @@ def test_pattern_table_vs_weight():
                             assert weight == 0, (model, fam, n, edges)
 
 
+def _letters(model, k):
+    """The first k letters of the model's largest alphabet here (k <= 5)."""
+    return (alphabet(model, 2) if model.colored else (-1, 0))[:k]
+
+
+def test_integer_table_is_pattern_table_times_den():
+    # built from the class numerators, the table is still pattern_table
+    # times the lcm of its denominators, in listing order, on ints, for
+    # every family of every model over alphabets of 1 to 5 letters, at two
+    # generic points and one where listed weights vanish (z = 1)
+    points = [sample_point(2, 5), sample_point(2, 6), ParamPoint((F(1), F(1)), F(3, 2))]
+    for model in Model:
+        for fam in Family:
+            if model.colored and fam in (Family.NEW_CAP, Family.R_GAMMA_DELTA):
+                continue
+            for k in range(1, 6 if model.colored else 3):
+                letters = _letters(model, k)
+                for pt in points:
+                    params = _params(fam, pt)
+                    try:
+                        exact = pattern_table(model, fam, params, pt.q, letters)
+                    except DomainError:
+                        with pytest.raises(DomainError):
+                            integer_table(model, fam, params, pt.q, letters)
+                        continue
+                    scaled, den = integer_table(model, fam, params, pt.q, letters)
+                    assert den == math.lcm(*(w.denominator for w in exact.values()))
+                    assert list(scaled.items()) == [(edges, w * den) for edges, w in exact.items()]
+                    assert type(den) is int and all(type(w) is int for w in scaled.values())
+
+
 def _singular(fam):
     """``(params, q)`` at which the crossing's common denominator vanishes,
     built from the locus by hand and checked against the rule's own."""
@@ -351,6 +383,21 @@ def test_zero_parameter_is_singular_exactly_where_pinned(fam, slot):
             pattern_table(UR, fam, params, q, (-1, 0))
     else:
         assert len(pattern_table(UR, fam, params, q, (-1, 0))) == 6   # every listed pattern
+
+
+@pytest.mark.parametrize("fam", R_FAMILIES)
+def test_one_letter_table_at_a_singular_point(fam):
+    # a one-letter listing uses no weight class, so its table needs no
+    # rule and does not raise; two letters use every class and do
+    params, q = _singular(fam)
+    for model in Model:
+        if model.colored and fam is Family.R_GAMMA_DELTA:
+            continue
+        for letter in _letters(model, 5):
+            assert integer_table(model, fam, params, q, (letter,)) == ({(letter,) * 4: 1}, 1)
+            assert pattern_table(model, fam, params, q, (letter,)) == {(letter,) * 4: 1}
+        with pytest.raises(DomainError, match=fam.value):
+            integer_table(model, fam, params, q, _letters(model, 2))
 
 
 @pytest.mark.parametrize("fam", R_FAMILIES)
