@@ -8,9 +8,20 @@ internal edges of the product of node weights -- exactly the partition
 functions appearing in the braid, cap and crossing relations.  Node
 weights come from ``weights.integer_table``, the node's ``pattern_table``
 scaled by its common denominator: only a node's nonzero listed patterns
-are ever tried, since every other labeling weighs 0.  ``contract`` sums
-the products on those integer numerators, and ``evaluate_all`` divides
-each sum once by the product of the denominators.
+are ever tried, since every other labeling weighs 0.  ``evaluate_all``
+divides each ``contract`` total once by the product of the denominators.
+
+``contract`` sweeps the nodes in order over a frontier keyed by packed
+ints, as the lattice's column transfer does (``lattice.sweep_vertex``).
+Each label is stored as its index in the alphabet, in b =
+``lattice.label_bits`` bits per flat position: boundary stubs in the low
+bits, internal edges above them.  A node reads the positions already set
+with one mask, ORs its new labels in and multiplies integer weights; an
+internal edge is cleared after the last node that touches it, so equal
+partial labelings merge.  What is left at the end are the boundary
+labels, decoded to tuples once.  Merged keys keep their first place, so
+the boundaries come in the order a depth-first walk over the same
+entries first reaches them.
 
 This evaluator is for identity checking, not whole lattices: diagrams are
 capped at MAX_INTERNAL_EDGES internal edges.  Diagrams are immutable after
@@ -27,9 +38,13 @@ configurations (reflection_lhs / reflection_rhs).
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .lattice import label_bits, pack_word
 from .rationals import DomainError, zprime
 from .weights import Family, Model, alphabet, integer_table
 
@@ -115,65 +130,115 @@ class WiringDiagram:
 def contract(diag: WiringDiagram, q, frozen=None, tables=None) -> tuple:
     """``(totals, den)``: the boundary tensor of ``diag`` on integer weights.
 
-    Each distinct node's ``weights.integer_table`` (its ``pattern_table``
-    times D, the lcm of its denominators) is built once, then indexed
-    by the labels the node shares with slots set before it (frozen boundary
-    stubs, edges to earlier nodes).  One depth-first sweep over the nodes
-    walks only the nonzero listed patterns that agree with the labels
-    already set, multiplying integers.  Every internal labeling takes one
-    pattern from each node, so boundary ``key`` has the exact value
-    ``totals[key] / den`` with ``den`` the product of the node D's.
-    ``totals`` holds every boundary that some labeling reaches, in the
-    order the sweep first reaches it; with ``frozen`` set, only that one.
+    A node-by-node frontier sweep on packed-integer keys.  Each label is
+    its index in ``diag.alphabet``, b = ``lattice.label_bits`` bits a flat
+    position: boundary stub k in bits b*k..b*k+b-1, internal edge k after
+    them.  The frontier maps a key (the labels set so far) to the integer
+    sum of the partial products that reach it; it starts from the empty
+    key, or from the ``frozen`` boundary packed.  Each distinct node's
+    ``weights.integer_table`` (its ``pattern_table`` times D, the lcm of
+    its denominators) is built once; for each node, its nonzero entries
+    are indexed by the masked value of the positions already set (frozen
+    stubs, edges to earlier nodes), each listing the OR of the node's new
+    labels and its weight.  An entry whose two slots on one edge disagree
+    is dropped.  After the last node that touches an internal edge, its
+    bits are cleared, so equal partial labelings merge; at the end only
+    boundary bits are left, and each key is decoded to its label tuple
+    once.  Every internal labeling takes one pattern from each node, so
+    boundary ``key`` has the exact value ``totals[key] / den`` with
+    ``den`` the product of the node D's.
+
+    ``totals`` holds every boundary that some labeling of nonzero weights
+    reaches, a total that cancels to 0 included; with ``frozen`` set, only
+    that one (none if a frozen label is not in the alphabet).  Its order
+    is the order in which a depth-first walk over the nodes' entries (in
+    listing order) first reaches each boundary: each node's frontier is
+    made in the order of the previous one, entry by entry, and a merged
+    key keeps the place of its first insertion, which is its
+    lexicographically first partial labeling.
 
     The scaled tables are kept in ``tables`` by node.  A caller may pass
     one dict to several contractions of the same model, alphabet and q, so
     that the nodes they share are built once; by default it lives for this
     call only.
     """
+    letters = diag.alphabet
     nb = len(diag.boundary)
-    labels = [None] * (nb + len(diag.edges))
-    known = set()
+    b = label_bits(letters)
+    label_mask = (1 << b) - 1
+    index = {label: i for i, label in enumerate(letters)}
+    front, known = {0: 1}, set()
     if frozen is not None:
-        labels[:nb] = frozen
         known.update(range(nb))
+        front = ({pack_word(frozen, index, b) >> b: 1}
+                 if all(label in index for label in frozen) else {})
     if tables is None:
         tables = {}
-    steps = []   # per node: (positions set before it, its free positions, index)
+    last = {nb + k: max(p[0], r[0]) for k, (p, r) in enumerate(diag.edges)}
     den = 1
     for i, node in enumerate(diag.nodes):
-        positions = tuple(diag._slot_pos[(i, s)] for s in range(node.nslots))
-        bound = [p for p in dict.fromkeys(positions) if p in known]
-        free = [p for p in dict.fromkeys(positions) if p not in known]
         built = tables.get(node)
         if built is None:
-            scaled, d = integer_table(diag.model, node.family, node.params, q, diag.alphabet)
-            built = tables[node] = d, [(edges, w) for edges, w in scaled.items() if w != 0]
-        d, scaled = built
+            scaled, d = integer_table(diag.model, node.family, node.params, q, letters)
+            built = tables[node] = d, [(tuple(index[label] for label in edges), w)
+                                       for edges, w in scaled.items() if w != 0]
+        d, entries = built
         den *= d
-        index: dict = {}
-        for edges, w in scaled:
-            at = dict(zip(positions, edges))   # two slots on one edge must agree
-            if tuple(at[p] for p in positions) == edges:
-                index.setdefault(tuple(at[p] for p in bound), []).append(
-                    (tuple(at[p] for p in free), w))
-        steps.append((bound, free, index))
-        known.update(positions)
-    out: dict = {}
+        first, pairs = {}, []   # position -> its first slot; slots sharing a position
+        for s in range(node.nslots):
+            p = diag._slot_pos[(i, s)]
+            if p in first:
+                pairs.append((first[p], s))
+            else:
+                first[p] = s
+        bound = [(s, b * p) for p, s in first.items() if p in known]
+        free = [(s, b * p) for p, s in first.items() if p not in known]
+        mask = sum(label_mask << shift for _, shift in bound)
+        keep = ~sum(label_mask << b * p for p in first if last.get(p) == i)
+        known.update(first)
+        step: dict = {}
+        for edges, w in entries:
+            if pairs and any(edges[s] != edges[t] for s, t in pairs):
+                continue
+            key = new = 0
+            for s, shift in bound:
+                key |= edges[s] << shift
+            for s, shift in free:
+                new |= edges[s] << shift
+            step.setdefault(key, []).append((new, w))
+        nxt: dict = {}
+        for key, acc in front.items():
+            for new, w in step.get(key & mask, ()):
+                new = (key | new) & keep
+                nxt[new] = nxt.get(new, 0) + acc * w
+        front = nxt
+    return dict(zip(_decode(list(front), letters, nb), front.values())), den
 
-    def visit(i: int, acc: int):
-        if i == len(steps):
-            key = tuple(labels[:nb])
-            out[key] = out.get(key, 0) + acc
-            return
-        bound, free, index = steps[i]
-        for values, w in index.get(tuple(labels[p] for p in bound), ()):
-            for p, label in zip(free, values):
-                labels[p] = label
-            visit(i + 1, acc * w)
 
-    visit(0, 1)
-    return out, den
+@functools.lru_cache(maxsize=None)
+def _chunk_labels(letters: tuple, width: int) -> list:
+    """The label tuple of every packed run of ``width`` labels of
+    ``letters`` (label k in bits b*k..b*k+b-1), by its value; None where a
+    field holds no label's index.  Memoised on its arguments, as the few
+    alphabets a diagram uses come back on every call."""
+    b = label_bits(letters)
+    out = [None] * (1 << b * width)
+    for combo in itertools.product(range(len(letters)), repeat=width):
+        out[sum(i << b * k for k, i in enumerate(combo))] = tuple(letters[i] for i in combo)
+    return out
+
+
+def _decode(keys: list, letters: tuple, length: int) -> list:
+    """The ``length`` boundary labels of each packed key, up to 9 bits'
+    worth of labels per table lookup."""
+    b = label_bits(letters)
+    width = max(1, 9 // b)
+    chunk = (1 << b * width) - 1
+    labels = [()] * len(keys)
+    for k in range(0, length, width):
+        table, shift = _chunk_labels(letters, min(width, length - k)), b * k
+        labels = list(map(operator.add, labels, [table[key >> shift & chunk] for key in keys]))
+    return labels
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ splitmix64-style chain), so samples are independent of iteration order,
 reproducible, and trivially parallel.  Cumulative weights are compared
 against the drawn word through integer thresholds ceil(c * 2^64); the
 2^-64 quantization is far below every statistical tolerance used here.
-The conditional laws are the rows of ``lattice.spec_rows``, read through
-``_stochastic_row``, which checks that each sums to 1.
+The conditional laws are the rows of ``lattice.spec_rows``, re-keyed by
+their inputs and checked by ``_checked_row``: each must sum to 1.
 
 ``Sampler`` is the one sweep: numpy arrays indexed by sample carry it for
 up to ``_CHUNK`` samples at once, the hash chain split so that only its
@@ -40,8 +40,9 @@ in one pass: a row transfer from the top over the words of vertical
 labels between row pairs by ``lattice.sweep_vertex``, summing the same
 conditional probabilities the sampler draws from, checked the same way.
 It runs on packed-integer keys, one ``lattice.packed_step`` table per
-row: the cap map and the left-boundary filter act on the carried label's
-bits, and a word is unpacked only to read its outcome.
+row, built straight from the row's integer table: the cap map and the
+left-boundary filter act on the carried label's bits, and a word is
+unpacked only to read its outcome.
 Every path takes exactly L vertices from each row, so its probability is
 an integer over ``Rows.scale``, and each outcome's mass, and the escape
 mass ``(scale - total) / scale``, is one exact ``Fraction`` division.
@@ -108,31 +109,35 @@ class SamplerConfig:
             raise ValueError(f"sampler needs at least 1 sample, got {self.num_samples}")
 
 
-def _stochastic_row(rows: Rows, r: int) -> dict:
-    """Row r's ``step_table`` keyed by its ``STOCHASTIC_INPUT_SLOTS``: Gamma
-    rows by (left, top) to (right, bottom), Delta rows by (right, top) to
-    (left, bottom).  SamplerSoundnessError unless each input's weights
-    sum to D_r, i.e. each conditional law sums to 1."""
-    table = step_table(rows.tables[r - 1], *STOCHASTIC_INPUT_SLOTS[row_family(r)])
+def _checked_row(rows: Rows, r: int, table: dict, inputs=lambda key: key) -> dict:
+    """``table``, row r re-keyed by its ``STOCHASTIC_INPUT_SLOTS`` (for the
+    sampler or the exact law), once each input's weights are found to sum
+    to D_r, i.e. each conditional law sums to 1.  SamplerSoundnessError
+    names the first input that does not, by the labels ``inputs`` reads
+    off its key."""
     den = rows.dens[r - 1]
-    for inputs, entries in table.items():
+    for key, entries in table.items():
         total = sum(w for _, _, w in entries)
         if total != den:
             raise SamplerSoundnessError(
-                f"row {r} inputs {inputs} sum to {Fraction(total, den)}, not 1")
+                f"row {r} inputs {inputs(key)} sum to {Fraction(total, den)}, not 1")
     return table
 
 
 def _conditional_tables(rows: Rows):
     """Per row: dict inputs -> (outputs list, integer cumulative thresholds).
 
-    Each row's ``_stochastic_row``, the output that passes the carried
-    label straight through first; thresholds are ceil(cum * 2^64 / D_r).
+    Each row's ``step_table`` keyed by its ``STOCHASTIC_INPUT_SLOTS``
+    (Gamma rows by (left, top) to (right, bottom), Delta rows by (right,
+    top) to (left, bottom)) and checked by ``_checked_row``, the output
+    that passes the carried label straight through first; thresholds are
+    ceil(cum * 2^64 / D_r).
     """
     tables = []
     for r, den in enumerate(rows.dens, start=1):
+        table = step_table(rows.tables[r - 1], *STOCHASTIC_INPUT_SLOTS[row_family(r)])
         conditional = {}
-        for (cur, top), entries in _stochastic_row(rows, r).items():
+        for (cur, top), entries in _checked_row(rows, r, table).items():
             entries = sorted(entries, key=lambda entry: entry[0] != cur)
             cum, thresholds = 0, []
             for _, _, w in entries:
@@ -521,14 +526,19 @@ def exact_outcome_probabilities(spec: LatticeSpec) -> dict:
     b = label_bits(letters)
     carried = (1 << b) - 1
     cap = [index[cap_map(spec.model, label)] for label in letters]
+
+    def packed_row(r: int) -> dict:
+        table = packed_step(rows.tables[r - 1], *STOCHASTIC_INPUT_SLOTS[row_family(r)], index, b)
+        return _checked_row(rows, r, table, lambda key: (letters[key & carried], letters[key >> b]))
+
     words = {pack_word(bnd.top, index, b): (1, 1)}
     for i in range(spec.n, 0, -1):
         front = {word | index[bnd.left[2 * i - 1]]: pair for word, pair in words.items()}
-        gamma = packed_step(_stochastic_row(rows, 2 * i), index, b)
+        gamma = packed_row(2 * i)
         for c in range(L, 0, -1):
             front = sweep_vertex(front, gamma, c - 1, b)
         front = {key & ~carried | cap[key & carried]: pair for key, pair in front.items()}
-        delta = packed_step(_stochastic_row(rows, 2 * i - 1), index, b)
+        delta = packed_row(2 * i - 1)
         for c in range(1, L + 1):
             front = sweep_vertex(front, delta, c - 1, b)
         left = index[bnd.left[2 * i - 2]]

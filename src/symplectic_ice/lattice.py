@@ -29,7 +29,7 @@ pattern ``(left, top, right, bottom)`` with its weight times D_r, the
 row's common denominator.  Every state has exactly L vertices in each
 row, so ``Z * Rows.scale`` (``prod_r D_r**L``) is an integer.
 ``step_table`` re-keys a row by the two input slots a sweep reads, and
-``packed_step`` re-keys that by packed label indices.
+``packed_step`` does the same on packed label indices, in one pass.
 
 A transfer frontier is keyed by packed ints.  With b = ``label_bits``
 bits a label and each label stored as its index in the spec's alphabet,
@@ -371,14 +371,17 @@ def unpack_word(key: int, letters, b: int, length: int) -> tuple:
     return tuple(letters[(key >> (b * k)) & mask] for k in range(1, length + 1))
 
 
-def packed_step(table: dict, index: dict, b: int) -> dict:
-    """A ``step_table`` on packed labels for ``sweep_vertex``: ``cur |
-    letter << b -> [(out, put << b, weight), ...]``, in table order, where
-    each label is its ``index`` (its position in the alphabet) and b is
-    its ``label_bits``."""
-    return {index[cur] | index[letter] << b: [(index[out], index[put] << b, w)
-                                              for out, put, w in entries]
-            for (cur, letter), entries in table.items()}
+def packed_step(table: dict, carried: int, letter: int, index: dict, b: int) -> dict:
+    """``step_table(table, carried, letter)`` on packed labels for
+    ``sweep_vertex``, built from the row table in one pass: ``cur | letter
+    << b -> [(out, put << b, weight), ...]``, in table order, where each
+    label is its ``index`` (its position in the alphabet) and b is its
+    ``label_bits``."""
+    out: dict = {}
+    for edges, w in table.items():
+        out.setdefault(index[edges[carried]] | index[edges[letter]] << b, []).append(
+            (index[edges[carried ^ 2]], index[edges[letter ^ 2]] << b, w))
+    return out
 
 
 def sweep_vertex(front: dict, table: dict, k: int, b: int) -> dict:
@@ -421,7 +424,7 @@ def _column_transfer(rows: Rows) -> dict:
     letters = spec.alphabet
     index = {label: i for i, label in enumerate(letters)}
     b = label_bits(letters)
-    columns = [packed_step(step_table(table, 1, 0), index, b) for table in rows.tables]
+    columns = [packed_step(table, 1, 0, index, b) for table in rows.tables]
     row_1 = {label: {inputs: [entry for entry in entries if entry[0] == index[label]]
                      for inputs, entries in columns[0].items()}
              for label in set(bnd.bottom)}

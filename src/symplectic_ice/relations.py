@@ -59,8 +59,9 @@ def _sweep(name, diag_l, diag_r, q, point, scale=1) -> RelationReport:
 
     Both sides come from ``diagram.contract`` as integer totals over one
     denominator each, so ``a/dl == s * b/dr`` is tested as the integer
-    equation ``a * dr * s.den == b * dl * s.num``.  A failing boundary
-    records both values as Fractions.  The nodes both sides share are
+    equation ``a * dr * s.den == b * dl * s.num``, over the union of the
+    two key sets; only the failing boundaries are sorted, and each records
+    both values as Fractions.  The nodes both sides share are
     built once, for this sweep only.
     """
     tables: dict = {}
@@ -69,11 +70,11 @@ def _sweep(name, diag_l, diag_r, q, point, scale=1) -> RelationReport:
     s = Fraction(scale)
     left, right = dr * s.denominator, dl * s.numerator
     report = RelationReport(name, 1, len(diag_l.alphabet) ** len(diag_l.boundary))
-    for key in sorted(set(lhs) | set(rhs)):
-        a = lhs.get(key, 0)
-        b = rhs.get(key, 0)
-        if a * left != b * right:
-            report.failures.append((point, key, Fraction(a, dl), s * Fraction(b, dr)))
+    failing = sorted(key for key in lhs.keys() | rhs.keys()
+                     if lhs.get(key, 0) * left != rhs.get(key, 0) * right)
+    for key in failing:
+        report.failures.append((point, key, Fraction(lhs.get(key, 0), dl),
+                                s * Fraction(rhs.get(key, 0), dr)))
     return report
 
 

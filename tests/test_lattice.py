@@ -350,7 +350,7 @@ class TestPackedKeys:
         b = label_bits(letters)
         table, _ = integer_table(model, Family.GAMMA, (F(2, 7),), F(3, 2), letters)
         steps = step_table(table, 1, 0)
-        packed = packed_step(steps, index, b)
+        packed = packed_step(table, 1, 0, index, b)
         rng = random.Random(n)
         front = {}
         for _ in range(60):

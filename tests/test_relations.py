@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -199,6 +200,13 @@ def test_corrupted_table_is_detected(monkeypatch):
     assert not rep.passed
     point, boundary, lhs, rhs = rep.failures[0]
     assert lhs != rhs
+    # only the failing boundaries are sorted: they come in boundary order,
+    # each with its two values, as the sweep over every sorted key gave them
+    rep = rel.verify_ybe_colored("signed", G, G, sample_point(2, 2))
+    keys = [boundary for _, boundary, _, _ in rep.failures]
+    assert len(keys) == 76 and keys == sorted(set(keys))
+    assert hashlib.sha256(repr(rep.failures).encode()).hexdigest() == \
+        "fd2a417520ae60e256df563f70c19c243531dba1228e953cd9c5a51c4ec21473"
 
 
 def test_report_merge():
