@@ -38,6 +38,7 @@ configurations (reflection_lhs / reflection_rhs).
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import operator
@@ -102,9 +103,13 @@ class WiringDiagram:
             self._slot_pos[r] = len(self.boundary) + k
 
     def restricted(self, letters) -> "WiringDiagram":
-        """The same diagram summed over a sub-alphabet (color reduction)."""
-        return WiringDiagram(self.model, 1, self.nodes, self.edges,
-                             self.boundary, letters=letters)
+        """The same diagram summed over a sub-alphabet (color reduction).
+
+        Its wiring is this diagram's, already checked, so it is copied
+        rather than validated again."""
+        diag = copy.copy(self)
+        diag.alphabet = tuple(letters)
+        return diag
 
     def evaluate(self, boundary_labels, q) -> Fraction:
         """Sum over internal labelings of the product of node weights."""

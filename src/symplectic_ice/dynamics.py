@@ -40,7 +40,8 @@ in one pass: a row transfer from the top over the words of vertical
 labels between row pairs by ``lattice.sweep_vertex``, summing the same
 conditional probabilities the sampler draws from, checked the same way.
 It runs on packed-integer keys, one ``lattice.packed_step`` table per
-row, built straight from the row's integer table: the cap map and the
+row (``Rows.step``), the row's class integers filled into a memoised
+packed listing and checked by ``_checked_row``: the cap map and the
 left-boundary filter act on the carried label's bits, and a word is
 unpacked only to read its outcome.
 Every path takes exactly L vertices from each row, so its probability is
@@ -65,8 +66,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .lattice import (Configuration, LatticeSpec, Rows, boundary_assignment, bottom_outcome,
-                      bottom_row_outcome, label_bits, pack_word, packed_step, row_family,
-                      spec_rows, step_table, sweep_vertex, unpack_word)
+                      bottom_row_outcome, label_bits, pack_word, row_family, spec_rows,
+                      step_table, sweep_vertex, unpack_word)
 from .rationals import in_stochastic_regime
 from .weights import STOCHASTIC_INPUT_SLOTS, Family, cap_map, vertex_weight
 
@@ -528,7 +529,7 @@ def exact_outcome_probabilities(spec: LatticeSpec) -> dict:
     cap = [index[cap_map(spec.model, label)] for label in letters]
 
     def packed_row(r: int) -> dict:
-        table = packed_step(rows.tables[r - 1], *STOCHASTIC_INPUT_SLOTS[row_family(r)], index, b)
+        table = rows.step(r, *STOCHASTIC_INPUT_SLOTS[row_family(r)])
         return _checked_row(rows, r, table, lambda key: (letters[key & carried], letters[key >> b]))
 
     words = {pack_word(bnd.top, index, b): (1, 1)}

@@ -24,12 +24,15 @@ so the vertex in row r, column c reads
 ``(left, top, right, bottom) = (hor[r][c], vert[r][c-1], hor[r][c-1], vert[r-1][c-1])``.
 
 Weights are looked up, never recomputed: ``spec_rows`` builds a ``Rows``
-per call, the boundary and row r's ``weights.integer_table``, each listed
-pattern ``(left, top, right, bottom)`` with its weight times D_r, the
-row's common denominator.  Every state has exactly L vertices in each
-row, so ``Z * Rows.scale`` (``prod_r D_r**L``) is an integer.
-``step_table`` re-keys a row by the two input slots a sweep reads, and
-``packed_step`` does the same on packed label indices, in one pass.
+per call, the boundary and row r's ``weights.integer_classes``, each order
+class's weight times D_r, the row's common denominator.  Every state has
+exactly L vertices in each row, so ``Z * Rows.scale`` (``prod_r D_r**L``)
+is an integer.  ``Rows.tables`` fills row r's ``weights.integer_table``
+(each listed pattern ``(left, top, right, bottom)`` with its integer) and
+``step_table`` re-keys it by the two input slots a sweep reads.
+``packed_step`` gives that re-keying on packed label indices: a packed
+listing, memoised on (model, family, letters, slots) since it holds no
+parameter point, with the row's class integers filled in.
 
 A transfer frontier is keyed by packed ints.  With b = ``label_bits``
 bits a label and each label stored as its index in the spec's alphabet,
@@ -39,20 +42,24 @@ once at each end of a transfer, so every result is keyed by label tuples.
 
 There is one engine for ``Z``: ``partition_function`` is the sparse column
 transfer (columns L down to 1, each resolved vertex by vertex top to
-bottom, merging equal frontiers) contracted with the caps.  Its vertex
+bottom, merging equal frontiers) contracted with the caps inside column
+1: once row 2i-1 is swept there, keys whose rows 2i and 2i-1 do not end
+in a cap's pair are dropped, so the keys left are the closing states and
+no word is unpacked.  Its vertex
 step ``sweep_vertex`` reads and writes labels with masks and shifts, and
 also runs the exact outcome law along rows
 (``dynamics.exact_outcome_probabilities``).  Each frontier entry carries
 a pair: the integer weight of the partial fillings that reach it and
 their number, entries of weight 0 included.  So one transfer sums both
 (``partition_and_count``), and divides the weight once by the scale
-(``transfer_right_edge_weights`` divides each open-right entry), giving
+(``transfer_right_edge_weights`` keeps the right ends open, unpacks them
+and divides each entry), giving
 the exact, normalised ``Fraction``; ``partition_function`` and
 ``count_states`` read one element each.  ``enumerate_states`` yields
 every admissible state with its weight by a column-ordered depth-first
 search over the integer rows, one ``Fraction`` per state; it is the
 state stream for rendering and ``partition --method enumeration``, and
-an oracle for the transfer in the tests and criterion 7.  Both close the
+an oracle for the transfer in the tests and criterion 7; it closes the
 caps by ``_closes``.
 
 Everything is pure and immutable; distinct specs may be evaluated
@@ -62,13 +69,15 @@ concurrently.  The state stream from ``enumerate_states`` is a generator
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
 from .rationals import ParamPoint
-from .weights import Family, Model, alphabet, cap_map, integer_table
+from .weights import (Family, Model, alphabet, cap_map, filled_table, integer_classes,
+                      listed_patterns)
 
 
 class SpecError(ValueError):
@@ -273,27 +282,42 @@ def row_family(r: int) -> Family:
 
 @dataclass(frozen=True)
 class Rows:
-    """One spec's rows on integer weights: ``tables[r-1]`` is row r's
-    ``weights.integer_table``, ``dens[r-1]`` its D_r.  A state, column
-    filling or outcome-law path takes L vertices per row, so its weight
-    is its integer product over ``scale`` = prod_r D_r**L."""
+    """One spec's rows on integer weights: ``classes[r-1]`` is row r's
+    ``weights.integer_classes`` (each order class's int, None -> D_r).  A
+    state, column filling or outcome-law path takes L vertices per row, so
+    its weight is its integer product over ``scale`` = prod_r D_r**L."""
 
     spec: LatticeSpec
     boundary: Boundary
-    tables: tuple
-    dens: tuple
+    classes: tuple
+
+    @property
+    def dens(self) -> tuple:
+        """D_r of row r at index r-1."""
+        return tuple(ints[None] for ints in self.classes)
 
     @property
     def scale(self) -> int:
         return math.prod(self.dens) ** self.spec.L
 
+    @functools.cached_property
+    def tables(self) -> tuple:
+        """Row r's ``weights.integer_table`` at index r-1, filled from its classes."""
+        return tuple(filled_table(self.spec.model, row_family(r), self.spec.alphabet, ints)
+                     for r, ints in enumerate(self.classes, start=1))
+
+    def step(self, r: int, carried: int, letter: int) -> dict:
+        """Row r's ``packed_step`` table."""
+        return packed_step(self.spec.model, row_family(r), self.spec.alphabet,
+                           self.classes[r - 1], carried, letter)
+
 
 def spec_rows(spec: LatticeSpec) -> Rows:
-    """The spec's boundary and its row tables on integer numerators."""
-    tables, dens = zip(*(integer_table(spec.model, row_family(r), (spec.point.z[(r - 1) // 2],),
-                                       spec.point.q, spec.alphabet)
-                         for r in range(1, 2 * spec.n + 1)))
-    return Rows(spec, boundary_assignment(spec), tables, dens)
+    """The spec's boundary and its rows' class ints."""
+    return Rows(spec, boundary_assignment(spec),
+                tuple(integer_classes(spec.model, row_family(r), (spec.point.z[(r - 1) // 2],),
+                                      spec.point.q, spec.alphabet)
+                      for r in range(1, 2 * spec.n + 1)))
 
 
 def _closes(model: Model, ends) -> bool:
@@ -371,17 +395,30 @@ def unpack_word(key: int, letters, b: int, length: int) -> tuple:
     return tuple(letters[(key >> (b * k)) & mask] for k in range(1, length + 1))
 
 
-def packed_step(table: dict, carried: int, letter: int, index: dict, b: int) -> dict:
-    """``step_table(table, carried, letter)`` on packed labels for
-    ``sweep_vertex``, built from the row table in one pass: ``cur | letter
-    << b -> [(out, put << b, weight), ...]``, in table order, where each
-    label is its ``index`` (its position in the alphabet) and b is its
-    ``label_bits``."""
+@functools.lru_cache(maxsize=None)
+def _packed_listing(model: Model, family: Family, letters: tuple, carried: int,
+                    letter: int) -> tuple:
+    """The listing of ``family`` over ``letters`` keyed as ``packed_step``
+    keys it, each entry with its order class in place of its weight.  It
+    holds no parameter point, so it is memoised on its structural key."""
+    index = {label: i for i, label in enumerate(letters)}
+    b = label_bits(letters)
     out: dict = {}
-    for edges, w in table.items():
+    for edges, order in listed_patterns(model, family, letters):
         out.setdefault(index[edges[carried]] | index[edges[letter]] << b, []).append(
-            (index[edges[carried ^ 2]], index[edges[letter ^ 2]] << b, w))
-    return out
+            (index[edges[carried ^ 2]], index[edges[letter ^ 2]] << b, order))
+    return tuple((key, tuple(entries)) for key, entries in out.items())
+
+
+def packed_step(model: Model, family: Family, letters: tuple, ints: dict, carried: int,
+                letter: int) -> dict:
+    """``step_table`` of the ``family`` table over ``letters`` with class ints
+    ``ints`` (``weights.integer_classes``), on packed labels for
+    ``sweep_vertex``: ``cur | letter << b -> [(out, put << b, weight), ...]``
+    in listing order, where each label is its index in ``letters`` and b
+    its ``label_bits``.  Only the weights are filled in per call."""
+    return {key: [(out, put, ints[order]) for out, put, order in entries]
+            for key, entries in _packed_listing(model, family, letters, carried, letter)}
 
 
 def sweep_vertex(front: dict, table: dict, k: int, b: int) -> dict:
@@ -412,22 +449,27 @@ def sweep_vertex(front: dict, table: dict, k: int, b: int) -> dict:
     return nxt
 
 
-def _column_transfer(rows: Rows) -> dict:
-    """Integer weight and number of column fillings, by right-end labels.
+def _column_transfer(rows: Rows, close: bool) -> dict:
+    """Integer weight and number of column fillings, by packed right ends.
 
     A column is resolved by ``sweep_vertex`` from the top, carrying the
     vertical label down the packed word of horizontal labels; row 1 reads
     only the completions whose bottom is the column's boundary label.  The
-    left boundary is packed once and the right ends unpacked once.
+    left boundary is packed once.  With ``close``, column 1 drops each key
+    whose right ends on rows 2i and 2i-1 do not close at the cap as soon
+    as it has swept row 2i-1, so only closing right ends are returned.
     """
     spec, bnd = rows.spec, rows.boundary
     letters = spec.alphabet
     index = {label: i for i, label in enumerate(letters)}
     b = label_bits(letters)
-    columns = [packed_step(table, 1, 0, index, b) for table in rows.tables]
+    columns = [rows.step(r, 1, 0) for r in range(1, 2 * spec.n + 1)]
     row_1 = {label: {inputs: [entry for entry in entries if entry[0] == index[label]]
                      for inputs, entries in columns[0].items()}
              for label in set(bnd.bottom)}
+    # the packed (row 2i-1, row 2i) right ends that close at a cap
+    pair_mask = (1 << 2 * b) - 1
+    caps = {index[cap_map(spec.model, top)] | index[top] << b for top in letters}
     states = {pack_word(bnd.left, index, b): (1, 1)}
     carried = (1 << b) - 1
     for c in range(spec.L, 0, -1):
@@ -435,17 +477,20 @@ def _column_transfer(rows: Rows) -> dict:
         for r in range(2 * spec.n, 0, -1):
             table = row_1[bnd.bottom[c - 1]] if r == 1 else columns[r - 1]
             front = sweep_vertex(front, table, r - 1, b)
+            if close and c == 1 and r % 2:
+                shift = b * r
+                front = {key: pair for key, pair in front.items()
+                         if (key >> shift) & pair_mask in caps}
         states = {key & ~carried: pair for key, pair in front.items()}
-    return {unpack_word(h, letters, b, 2 * spec.n): pair for h, pair in states.items()}
+    return states
 
 
 def _capped(rows: Rows) -> tuple:
     """The column transfer contracted with the caps: its (integer weight,
     count) summed over the closing right ends."""
     weight = count = 0
-    for h, (w, num) in _column_transfer(rows).items():
-        if _closes(rows.spec.model, h):
-            weight, count = weight + w, count + num
+    for w, num in _column_transfer(rows, close=True).values():
+        weight, count = weight + w, count + num
     return weight, count
 
 
@@ -459,8 +504,10 @@ def transfer_right_edge_weights(spec: LatticeSpec) -> dict:
     Contracting against the cap tables gives partition_function.
     """
     rows = spec_rows(spec)
-    scale = rows.scale
-    return {h: Fraction(weight, scale) for h, (weight, _) in _column_transfer(rows).items()}
+    scale, letters = rows.scale, spec.alphabet
+    b = label_bits(letters)
+    return {unpack_word(h, letters, b, 2 * spec.n): Fraction(weight, scale)
+            for h, (weight, _) in _column_transfer(rows, close=False).items()}
 
 
 def partition_and_count(spec: LatticeSpec) -> tuple:

@@ -45,15 +45,19 @@ weight exactly 0.  All-equal patterns and cap pairs weigh 1; any other listed we
 order class: straight through or exchange, with the first label lower or
 higher than the other.  So a family at one point takes at most four
 further values, and ``_RULES`` maps each family to the one rule that
-returns them as numerators over one denominator.  ``_listed_patterns``
+returns them as numerators over one denominator.  ``listed_patterns``
 is the one place that lists patterns and names their classes; it holds no
 parameter, so it is memoised on (model, family, letters).
-``pattern_table`` evaluates the rule at most once per call and serves
-``stochastic_row_sums``; ``integer_table`` (lattice rows, diagram nodes)
-is built from the class numerators: it makes the classes the listing uses
-integral once over the lcm of their denominators and gives each listed
-pattern its class's integer, with no ``Fraction`` per entry;
-``vertex_weight`` is the same listing restricted to one pattern.
+A rule runs on ``_Ratio``s, unreduced (numerator, denominator) pairs of
+ints that take no gcd per operation; ``integer_classes`` reduces its
+results once, by one gcd, to each used class's weight times ``den`` (the
+lcm of the class weights' denominators) and ``den`` itself.
+``integer_table`` (diagram nodes; lattice rows fill the same listing) gives
+each listed pattern its class's integer, with no ``Fraction`` per entry;
+``pattern_table`` divides those integers by ``den`` and serves
+``stochastic_row_sums``; ``vertex_weight`` is the same listing restricted
+to one pattern; ``denominator`` reads the rule's denominator through the
+same unreduced evaluation.
 
 The rules are the one place that knows where a family is undefined:
 where its denominator vanishes (``denominator``), ``pattern_table``,
@@ -286,7 +290,7 @@ _RULES = {
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _listed_patterns(model: Model, family: Family, letters: tuple) -> tuple:
+def listed_patterns(model: Model, family: Family, letters: tuple) -> tuple:
     """``(edges, order class)`` of every listed pattern over ``letters``,
     grouped by its first two labels in letter order.  The class indexes
     the family rule's four weights, or is None for a pattern of weight 1
@@ -329,18 +333,117 @@ def _checked_params(model: Model, family: Family, params) -> tuple:
     return params
 
 
-def _class_weights(family: Family, params, q) -> tuple:
-    """The family's four class weights; DomainError where its denominator vanishes."""
-    nums, den = _RULES[family][0](*params, q)
-    if den == 0:
+class _Ratio:
+    """A rational as an unreduced pair of ints (numerator, denominator > 0).
+
+    The rules run on it: it adds, subtracts and multiplies with ints,
+    ``Fraction``s and itself, and never takes a gcd.  ``_class_ints``
+    reduces a rule's results once.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: int, den: int):
+        self.num, self.den = num, den
+
+    def __add__(self, other):
+        if type(other) is int:
+            return _Ratio(self.num + other * self.den, self.den)
+        num, den = _pair(other)
+        if den == self.den:
+            return _Ratio(self.num + num, den)
+        return _Ratio(self.num * den + num * self.den, self.den * den)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is int:
+            return _Ratio(self.num - other * self.den, self.den)
+        num, den = _pair(other)
+        if den == self.den:
+            return _Ratio(self.num - num, den)
+        return _Ratio(self.num * den - num * self.den, self.den * den)
+
+    def __rsub__(self, other):
+        if type(other) is int:
+            return _Ratio(other * self.den - self.num, self.den)
+        num, den = _pair(other)
+        if den == self.den:
+            return _Ratio(num - self.num, den)
+        return _Ratio(num * self.den - self.num * den, self.den * den)
+
+    def __mul__(self, other):
+        if type(other) is int:
+            return _Ratio(self.num * other, self.den)
+        num, den = _pair(other)
+        return _Ratio(self.num * num, self.den * den)
+
+    __rmul__ = __mul__
+
+
+def _pair(value) -> tuple:
+    """(numerator, denominator) of an int, a ``Fraction`` or a ``_Ratio``."""
+    if type(value) is _Ratio:
+        return value.num, value.den
+    return value.numerator, value.denominator
+
+
+def _rule_values(family: Family, params, q) -> tuple:
+    """The family rule at ``(params, q)`` on ``_Ratio``s: its four class
+    numerators and its denominator, unreduced."""
+    return _RULES[family][0](*(_Ratio(p.numerator, p.denominator) for p in params),
+                             _Ratio(q.numerator, q.denominator))
+
+
+def _class_ints(family: Family, params, q, used) -> dict:
+    """``{order class: int}`` over the classes ``used``, and None -> den.
+
+    Class k weighs w_k = N_k / D once the rule's values are put over one
+    denominator D; with g = gcd(D, N_k over ``used``), den = |D| / g (1 if
+    nothing is used) is the lcm of the reduced denominators of the w_k, and
+    class k's int is w_k * den = +-N_k / g.  DomainError where the rule's
+    denominator vanishes.
+    """
+    if not used:
+        return {None: 1}
+    nums, den = _rule_values(family, params, q)
+    den_num, den_den = _pair(den)
+    if den_num == 0:
         raise DomainError(f"singular point: {family.value} weights undefined at "
                           f"({', '.join(map(str, params))}), q = {q}")
-    return nums if den == 1 else (nums[0] / den, nums[1] / den, nums[2] / den, nums[3] / den)
+    pairs = {order: _pair(nums[order]) for order in used}
+    common = math.prod({d for _, d in pairs.values()})
+    shared = common * den_num
+    ints = {order: num * (common // d) * den_den for order, (num, d) in pairs.items()}
+    g = math.gcd(shared, *ints.values())
+    if shared < 0:
+        g = -g
+    ints = {order: num // g for order, num in ints.items()}
+    ints[None] = shared // g
+    return ints
 
 
-def denominator(family: Family, params, q):
+@functools.lru_cache(maxsize=None)
+def _used_classes(model: Model, family: Family, letters: tuple) -> tuple:
+    """The order classes that the listing over ``letters`` uses."""
+    return tuple(sorted({order for _, order in listed_patterns(model, family, letters)}
+                        - {None}))
+
+
+def integer_classes(model: Model, family: Family, params, q, letters) -> dict:
+    """``{order class: int}`` for the classes that the listing over
+    ``letters`` uses, each weight times ``den``, and None -> ``den``, the
+    lcm of their denominators (1 if the listing uses none).  The rule is
+    evaluated once, unreduced, and reduced by one gcd.  DomainError where
+    its denominator vanishes, unless the listing uses no class."""
+    params = _checked_params(model, family, params)
+    return _class_ints(family, params, q, _used_classes(model, family, tuple(letters)))
+
+
+def denominator(family: Family, params, q) -> Fraction:
     """The family rule's denominator: the family is singular where it vanishes."""
-    return _RULES[family][0](*params, q)[1]
+    den = _rule_values(family, params, q)[1]
+    return den if type(den) is int else Fraction(*_pair(den))
 
 
 def pattern_table(model: Model, family: Family, params, q, letters) -> dict:
@@ -354,33 +457,26 @@ def pattern_table(model: Model, family: Family, params, q, letters) -> dict:
     ``params`` are as in ``vertex_weight``.  Raises DomainError where the
     rule's denominator vanishes, unless every listed pattern weighs 1.
     """
-    params = _checked_params(model, family, params)
-    table, classes = {}, None
-    for edges, order in _listed_patterns(model, family, tuple(letters)):
-        if order is None:
-            table[edges] = ONE
-            continue
-        if classes is None:
-            classes = _class_weights(family, params, q)
-        table[edges] = classes[order]
-    return table
+    letters = tuple(letters)
+    ints = integer_classes(model, family, params, q, letters)
+    weights = {order: Fraction(w, ints[None]) for order, w in ints.items()}
+    return {edges: weights[order] for edges, order in listed_patterns(model, family, letters)}
 
 
 def integer_table(model: Model, family: Family, params, q, letters) -> tuple:
     """``(table, den)``: ``pattern_table`` times ``den`` on integer numerators,
-    in listing order with zero weights kept.  ``den`` is the lcm of the
-    denominators of the class weights the listing uses (1 if it uses none),
-    so each class is made integral once and a weight-1 pattern weighs ``den``;
+    in listing order with zero weights kept.  ``den`` and each class's int
+    are ``integer_classes``, and a weight-1 pattern weighs ``den``;
     DomainError as for ``pattern_table``."""
-    params = _checked_params(model, family, params)
-    listed = _listed_patterns(model, family, tuple(letters))
-    used = {order for _, order in listed if order is not None}
-    classes = _class_weights(family, params, q) if used else ()
-    den = math.lcm(*(classes[order].denominator for order in used))
-    ints = {order: classes[order].numerator * (den // classes[order].denominator)
-            for order in used}
-    ints[None] = den
-    return {edges: ints[order] for edges, order in listed}, den
+    letters = tuple(letters)
+    ints = integer_classes(model, family, params, q, letters)
+    return filled_table(model, family, letters, ints), ints[None]
+
+
+def filled_table(model: Model, family: Family, letters: tuple, ints: dict) -> dict:
+    """The listing over ``letters``, each pattern weighing its class's int
+    in ``ints`` (as ``integer_classes`` gives them)."""
+    return {edges: ints[order] for edges, order in listed_patterns(model, family, letters)}
 
 
 def vertex_weight(model: Model, family: Family, edges, params, q) -> Fraction:
@@ -404,9 +500,12 @@ def vertex_weight(model: Model, family: Family, edges, params, q) -> Fraction:
     params = _checked_params(model, family, params)
     edges = tuple(edges)
     # not memoised: the label sets of single patterns are many, and no table reads them
-    for listed, order in _listed_patterns.__wrapped__(model, family, tuple(dict.fromkeys(edges))):
+    for listed, order in listed_patterns.__wrapped__(model, family, tuple(dict.fromkeys(edges))):
         if listed == edges:
-            return ONE if order is None else _class_weights(family, params, q)[order]
+            if order is None:
+                return ONE
+            ints = _class_ints(family, params, q, (order,))
+            return Fraction(ints[order], ints[None])
     return ZERO
 
 

@@ -7,15 +7,16 @@ import pytest
 
 from symplectic_ice.dynamics import ESCAPE, exhaustive_distribution
 from symplectic_ice.functional import closed_form_opposite
-from symplectic_ice.lattice import (LatticeSpec, Partition, SignedPermutation,
-                                    SpecError, all_signed_permutations,
+from symplectic_ice.lattice import (LatticeSpec, Partition, SignedPermutation, SpecError,
+                                    _capped, _closes, _column_transfer, all_signed_permutations,
                                     boundary_assignment, bottom_outcome,
                                     count_states, enumerate_states, label_bits, pack_word,
                                     packed_step, particle_columns, partition_and_count,
                                     partition_function, row_family, spec_rows, step_table,
                                     sweep_vertex, transfer_right_edge_weights, unpack_word)
 from symplectic_ice.rationals import ParamPoint, sample_point, sample_regime_point, zprime
-from symplectic_ice.weights import Family, Model, alphabet, cap_map, integer_table, pattern_table
+from symplectic_ice.weights import (Family, Model, alphabet, cap_map, integer_classes,
+                                    integer_table, pattern_table)
 
 UR, UA = Model.UNCOLORED_REFLECTING, Model.UNCOLORED_ABSORBING
 CS, CP = Model.COLORED_SIGNED, Model.COLORED_POSITIVE
@@ -288,6 +289,41 @@ class TestCountingTransfer:
             assert all(type(w) is int for w in scaled.values())
 
 
+#: Every family with n <= 3 and L <= 6: absorbing with n' < n, and signed
+#: sigma and tau with negative entries
+CAPPED_SPECS = [
+    (UR, 1, 6, (3,), None, None), (UR, 2, 6, (2, 1), None, None),
+    (UR, 3, 6, (2, 1, 0), None, None),
+    (UA, 1, 3, (), None, None), (UA, 2, 5, (2, 1), None, None),
+    (UA, 3, 6, (2, 1), None, None), (UA, 3, 6, (1, 0), None, None),
+    (CS, 1, 6, (2,), (-1,), (1,)), (CS, 2, 5, (1, 0), (1, -2), (-2, 1)),
+    (CS, 3, 4, (1, 0, 0), (-1, 2, -3), (3, -1, 2)),
+    (CP, 2, 6, (2, 1), (2, 1), (1, 2)), (CP, 3, 5, (1, 1, 0), (3, 1, 2), (2, 3, 1)),
+]
+
+
+class TestCappedTransfer:
+    @pytest.mark.parametrize("model,n,L,lam,sigma,tau", CAPPED_SPECS)
+    def test_capped_transfer_equals_the_open_one_closed_by_the_caps(self, model, n, L, lam,
+                                                                    sigma, tau):
+        # the caps closed inside column 1 keep exactly the (weight, count) of
+        # the closing right ends, at a generic point and at z_1 = 1, where
+        # listed weights vanish and states weigh 0
+        letters = alphabet(model, n)
+        b = label_bits(letters)
+        for point in (sample_point(n, 40 + L), ParamPoint((F(1), F(1, 3), F(1, 4))[:n], F(1, 2))):
+            spec = LatticeSpec(model, n, L, Partition(lam), point,
+                               sigma and SignedPermutation(sigma), tau and SignedPermutation(tau))
+            rows = spec_rows(spec)
+            weight = count = 0
+            for h, (w, num) in _column_transfer(rows, close=False).items():
+                if _closes(model, unpack_word(h, letters, b, 2 * n)):
+                    weight, count = weight + w, count + num
+            assert count > 0
+            assert _capped(rows) == (weight, count)
+            assert partition_and_count(spec) == (F(weight, rows.scale), count)
+
+
 class TestOpenRightEdge:
     @pytest.mark.parametrize("model,lam,z,q,sigma,tau,digest", [
         (UR, (2, 1), (F(1, 2), F(2, 7)), F(3, 2), None, None,
@@ -350,7 +386,8 @@ class TestPackedKeys:
         b = label_bits(letters)
         table, _ = integer_table(model, Family.GAMMA, (F(2, 7),), F(3, 2), letters)
         steps = step_table(table, 1, 0)
-        packed = packed_step(table, 1, 0, index, b)
+        ints = integer_classes(model, Family.GAMMA, (F(2, 7),), F(3, 2), letters)
+        packed = packed_step(model, Family.GAMMA, letters, ints, 1, 0)
         rng = random.Random(n)
         front = {}
         for _ in range(60):

@@ -9,7 +9,8 @@ from symplectic_ice.rationals import (DEFAULT_AVOID, DomainError, ParamPoint, sa
                                       sample_regime_point, zprime)
 from symplectic_ice.weights import (_RULES, Family, Model, R_FAMILIES, STOCHASTIC_INPUT_SLOTS,
                                     UsageError, alphabet, cap_weight, denominator,
-                                    integer_table, pattern_table, stochastic_row_check,
+                                    integer_table, listed_patterns, pattern_table,
+                                    stochastic_row_check,
                                     stochastic_row_sums, vertex_weight)
 
 UR, UA = Model.UNCOLORED_REFLECTING, Model.UNCOLORED_ABSORBING
@@ -318,6 +319,57 @@ def test_integer_table_is_pattern_table_times_den():
                     assert den == math.lcm(*(w.denominator for w in exact.values()))
                     assert list(scaled.items()) == [(edges, w * den) for edges, w in exact.items()]
                     assert type(den) is int and all(type(w) is int for w in scaled.values())
+
+
+def _fraction_integer_table(model, fam, params, q, letters):
+    """``(table, den)`` from the rule evaluated in ``Fraction``s, each class
+    divided by the denominator and made integral over the lcm of the class
+    denominators: the reference for the unreduced evaluation."""
+    listed = listed_patterns(model, fam, tuple(letters))
+    used = {order for _, order in listed if order is not None}
+    classes = ()
+    if used:
+        nums, den = _RULES[fam][0](*(F(p) for p in params), F(q))
+        if den == 0:
+            raise DomainError(f"singular point: {fam.value} weights undefined at "
+                              f"({', '.join(map(str, params))}), q = {q}")
+        classes = [F(num) / den for num in nums]
+    den = math.lcm(*(classes[order].denominator for order in used))
+    ints = {order: classes[order].numerator * (den // classes[order].denominator)
+            for order in used}
+    ints[None] = den
+    return {edges: ints[order] for edges, order in listed}, den
+
+
+@pytest.mark.parametrize("fam", [f for f in Family if _RULES[f][0] is not None])
+def test_integer_table_and_denominator_equal_the_fraction_reference(fam):
+    # 500 random points a family, small numerators and denominators of either
+    # sign, so that zeros and singular points come up; a singular point must
+    # raise the reference's DomainError text
+    rng = random.Random(fam.value)
+    values = [F(a, b) for a in range(-6, 7) for b in range(1, 7)]
+    models = [m for m in Model if not (m.colored and fam is Family.R_GAMMA_DELTA)]
+    singular = 0
+    for _ in range(500):
+        params = tuple(rng.choice(values) for _ in range(_RULES[fam][1]))
+        q = rng.choice([v for v in values if v != 0])
+        model = rng.choice(models)
+        letters = alphabet(model, rng.choice((1, 2)))
+        den = _RULES[fam][0](*params, q)[1]
+        assert denominator(fam, params, q) == den
+        assert type(denominator(fam, params, q)) is type(den)
+        try:
+            expected = _fraction_integer_table(model, fam, params, q, letters)
+        except DomainError as err:
+            singular += 1
+            with pytest.raises(DomainError) as raised:
+                integer_table(model, fam, params, q, letters)
+            assert str(raised.value) == str(err)
+            continue
+        got = integer_table(model, fam, params, q, letters)
+        assert list(got[0].items()) == list(expected[0].items()) and got[1] == expected[1]
+        assert type(got[1]) is int and all(type(w) is int for w in got[0].values())
+    assert singular > 0 or fam in (Family.GAMMA, Family.LEMMA_S, Family.LEMMA_T)
 
 
 def _singular(fam):
